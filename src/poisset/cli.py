@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bracket import (
@@ -43,22 +42,6 @@ class _InputError(Exception):
     """Bad file, JSON, or flag value; maps to exit code 2."""
 
 
-def thread_cap() -> int:
-    """Value of POISSET_THREADS, clamped to at least 1.
-
-    All current code paths are single-threaded and deterministic; the cap
-    is accepted so scripts can set it uniformly across tools.
-    """
-    raw = os.environ.get("POISSET_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        print(f"poisset: ignoring POISSET_THREADS={raw!r}", file=sys.stderr)
-        return 1
-
-
 def _parse_ring(text: str) -> RingSpec:
     if text == "Q":
         return RATIONALS
@@ -70,6 +53,17 @@ def _parse_ring(text: str) -> RingSpec:
         except ValueError as exc:
             raise _InputError(f"bad ring {text!r}: {exc}") from exc
     raise _InputError(f"bad ring {text!r}: expected Q, Z, or Z/m")
+
+
+def _count(text: str) -> int:
+    """argparse type for a non-negative integer flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _load_json(path: str):
@@ -359,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
         "lemma-suite", parents=[common], help="idempotent identity suite"
     )
     p.add_argument("--bracket", required=True, help="bracket JSON file")
-    p.add_argument("--samples", type=int, default=20, help="random elements per lemma")
+    p.add_argument(
+        "--samples", type=_count, default=20, help="random elements per lemma"
+    )
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
     sub.add_parser("export-dot", parents=[common], help="Hasse diagram as DOT")
@@ -380,7 +376,6 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

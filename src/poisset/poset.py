@@ -313,9 +313,22 @@ class Poset:
 
     @staticmethod
     def from_json(data: dict) -> "Poset":
-        if not isinstance(data, dict) or "elements" not in data:
+        """Poset from its JSON form; labels must be strings (ValueError)."""
+        if not isinstance(data, dict) or not isinstance(data.get("elements"), list):
             raise ValueError("poset JSON needs an 'elements' list")
         covers = data.get("covers", [])
+        if not isinstance(covers, list):
+            raise ValueError("poset JSON 'covers' must be a list of pairs")
+        for label in data["elements"]:
+            if not isinstance(label, str):
+                raise ValueError(f"element label {label!r} is not a string")
+        for cover in covers:
+            if not (
+                isinstance(cover, list)
+                and len(cover) == 2
+                and all(isinstance(end, str) for end in cover)
+            ):
+                raise ValueError(f"cover {cover!r} is not a pair of string labels")
         return Poset(data["elements"], [tuple(c) for c in covers])
 
     def to_dot(self) -> str:

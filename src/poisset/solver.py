@@ -3,7 +3,11 @@
 The unknowns are the coefficients B(e_i, e_j)(k) for ordered basis pairs
 with i before j in canonical interval order; antisymmetry is built in by
 rewriting B(e_j, e_i) as -B(e_i, e_j) and B(e_i, e_i) as 0.  Every basis
-triple contributes the coefficient-level rows of both Leibniz identities.
+triple (a, b, c) contributes the coefficient-level rows of the first
+Leibniz identity, B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0.  The second
+identity, B(a, bc) - B(a, b) e_c - e_b B(a, c) = 0, adds nothing: rewritten
+by antisymmetry it is -(B(bc, a) - B(b, a) e_c - e_b B(c, a)), the first
+identity at the triple (b, c, a), so it yields the same rows up to sign.
 Rows are eliminated as they are generated, so only the independent ones
 are ever stored.  The nullspace of the system is exactly the module of
 antisymmetric biderivations, computed with no reference to the chain
@@ -29,12 +33,13 @@ from .poset import Interval, Poset
 
 
 class LinearSystem:
-    """The constraint system, kept as its reduced independent rows.
+    """The constraint system, kept as its independent rows in echelon form.
 
     rows maps a pivot column to a sparse row {column: coefficient} whose
-    pivot coefficient is 1 and which is zero at every other pivot column.
-    The nullspace of the full streamed system equals the nullspace of
-    these rows.
+    pivot coefficient is 1 and which is zero left of its pivot; nullspace()
+    reduces them in place so that each is also zero at every other pivot
+    column.  The nullspace of the full streamed system equals the nullspace
+    of these rows.
     """
 
     def __init__(self, poset: Poset, ring: RingSpec):
@@ -67,7 +72,7 @@ class LinearSystem:
     def rank(self) -> int:
         return len(self.rows)
 
-    # -- incremental elimination, maintained fully reduced ------------------
+    # -- incremental forward elimination ------------------------------------
 
     def _reduce(self, value):
         """Canonical representative of a raw field value."""
@@ -76,40 +81,57 @@ class LinearSystem:
         return value
 
     def _inv(self, value):
+        """Inverse of a nonzero raw value; over Q, units ±1 stay ints."""
         if self.ring.kind == "Q":
-            return 1 / value
+            return value if value in (1, -1) else 1 / Fraction(value)
         return pow(value, -1, self.ring.modulus)
 
+    def _subtract(self, row: dict, factor, pivot_row: dict) -> None:
+        """row -= factor * pivot_row, dropping the entries that vanish."""
+        red = self._reduce
+        for k, v in pivot_row.items():
+            value = red(row.get(k, 0) - factor * v)
+            if value:
+                row[k] = value
+            else:
+                row.pop(k, None)
+
     def _absorb(self, row: dict[int, object]):
+        """Reduce a row by the stored pivots and keep it if it is new.
+
+        Only the incoming row changes.  Every row is homogeneous for the
+        Z^P grading deg e_xy = eps_x - eps_y (convolution respects it, and
+        column B(e_i, e_j)(k) has degree deg k - deg i - deg j), and so is
+        every stored row; a row therefore only ever meets pivot rows of its
+        own degree block, and elimination is block-local without any block
+        bookkeeping.
+        """
         self.rows_streamed += 1
         rows = self.rows
-        red = self._reduce
-        for col in sorted(row):
-            pivot_row = rows.get(col)
-            if pivot_row is None or col not in row:
-                continue
-            factor = row[col]
-            for k, v in pivot_row.items():
-                value = red(row.get(k, 0) - factor * v)
-                if value:
-                    row[k] = value
-                else:
-                    row.pop(k, None)
-        if not row:
-            return
-        pivot = min(row)
-        inv = self._inv(row[pivot])
-        normalized = {k: red(inv * v) for k, v in row.items()}
-        for other in rows.values():
-            if pivot in other:
-                factor = other[pivot]
-                for k, v in normalized.items():
-                    value = red(other.get(k, 0) - factor * v)
-                    if value:
-                        other[k] = value
-                    else:
-                        other.pop(k, None)
-        rows[pivot] = normalized
+        while row:
+            pivot = min(row)
+            pivot_row = rows.get(pivot)
+            if pivot_row is None:
+                inv = self._inv(row[pivot])
+                if inv != 1:
+                    red = self._reduce
+                    row = {k: red(inv * v) for k, v in row.items()}
+                rows[pivot] = row
+                return
+            self._subtract(row, row[pivot], pivot_row)
+
+    def _back_substitute(self) -> None:
+        """Bring the echelon rows to reduced row echelon form, in place.
+
+        Pivots are visited in descending order, so every pivot row a row
+        is reduced by is already zero at all other pivot columns, and one
+        pass over the row's own pivot columns suffices.
+        """
+        rows = self.rows
+        for pivot in sorted(rows, reverse=True):
+            row = rows[pivot]
+            for col in [c for c in row if c != pivot and c in rows]:
+                self._subtract(row, row[col], rows[col])
 
     def satisfied_by(self, vector: dict[int, object]) -> bool:
         """True iff the vector solves every absorbed equation."""
@@ -137,73 +159,73 @@ class SolutionBasis:
 
 
 def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
-    """Stream both Leibniz identities on all basis triples into the system."""
+    """Stream the first Leibniz identity on all basis triples into the system.
+
+    Intervals are handled by their rank in canonical order.  For each
+    triple (a, b, c) the terms of B(ab, c) - B(a, c) e_b - e_a B(b, c) are
+    collected per target interval, and every nonzero target row is absorbed.
+    """
     system = LinearSystem(poset, field)
     intervals = system.intervals
-    ring = field
-    one = Fraction(1) if ring.kind == "Q" else 1
-    modulus = ring.modulus if ring.kind == "Zmod" else None
+    index = system.interval_rank
+    n = len(intervals)
+    red = system._reduce
 
-    prod: dict[tuple[Interval, Interval], Interval] = {}
-    for i in intervals:
-        for j in intervals:
-            if i.hi == j.lo:
-                prod[(i, j)] = Interval(i.lo, j.hi)
-    down = {
-        x: [y for y in poset.elements if poset.leq(y, x)] for x in poset.elements
-    }
-    up = {
-        x: [y for y in poset.elements if poset.leq(x, y)] for x in poset.elements
-    }
+    # unknown[i][j] = (offset, sign): B(e_i, e_j)(e_k) = sign * x[offset + k];
+    # None on the diagonal, where antisymmetry makes B vanish
+    unknown = [
+        [None if i == j else system.column(i, j, intervals[0]) for j in intervals]
+        for i in intervals
+    ]
+    product = [
+        [index[Interval(a.lo, b.hi)] if a.hi == b.lo else None for b in intervals]
+        for a in intervals
+    ]
+    # (target, k): f e_b moves f's coefficient at k = [x, b.lo] to [x, b.hi],
+    # and e_a f moves f's coefficient at k = [a.hi, y] to [a.lo, y]
+    elements = poset.elements
+    right = [
+        [
+            (index[Interval(x, b.hi)], index[Interval(x, b.lo)])
+            for x in elements
+            if poset.leq(x, b.lo)
+        ]
+        for b in intervals
+    ]
+    left = [
+        [
+            (index[Interval(a.lo, y)], index[Interval(a.hi, y)])
+            for y in elements
+            if poset.leq(a.hi, y)
+        ]
+        for a in intervals
+    ]
 
-    def emit(acc: dict):
-        for row in acc.values():
-            if row:
-                system._absorb(row)
-
-    def bump(acc, target: Interval, i: Interval, j: Interval, k: Interval, sign):
-        if i == j:
-            return
-        col, s = system.column(i, j, k)
-        value = sign if s > 0 else -sign
-        if modulus is not None:
-            value = value % modulus
-        row = acc.setdefault(target, {})
-        total = row.get(col, 0) + value
-        if modulus is not None:
-            total = total % modulus
-        if total:
-            row[col] = total
-        else:
-            row.pop(col, None)
-
-    minus = -one if modulus is None else modulus - 1
-    for a in intervals:
-        for b in intervals:
-            ab = prod.get((a, b))
-            for c in intervals:
+    for a in range(n):
+        for b in range(n):
+            ab = product[a][b]
+            for c in range(n):
                 # B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0
-                acc: dict = {}
-                if ab is not None:
-                    for k in intervals:
-                        bump(acc, k, ab, c, k, one)
-                for x in down[b.lo]:
-                    bump(acc, Interval(x, b.hi), a, c, Interval(x, b.lo), minus)
-                for y in up[a.hi]:
-                    bump(acc, Interval(a.lo, y), b, c, Interval(a.hi, y), minus)
-                emit(acc)
-
-                # B(a, bc) - B(a, b) e_c - e_b B(a, c) = 0
-                acc = {}
-                bc = prod.get((b, c))
-                if bc is not None:
-                    for k in intervals:
-                        bump(acc, k, a, bc, k, one)
-                for x in down[c.lo]:
-                    bump(acc, Interval(x, c.hi), a, b, Interval(x, c.lo), minus)
-                for y in up[b.hi]:
-                    bump(acc, Interval(b.lo, y), a, c, Interval(b.hi, y), minus)
-                emit(acc)
+                acc: dict[int, dict[int, int]] = {}
+                term = unknown[ab][c] if ab is not None else None
+                if term is not None:
+                    offset, sign = term
+                    for k in range(n):
+                        acc[k] = {offset + k: sign}
+                for term, moves in (
+                    (unknown[a][c], right[b]),
+                    (unknown[b][c], left[a]),
+                ):
+                    if term is None:
+                        continue
+                    offset, sign = term
+                    for target, k in moves:
+                        row = acc.setdefault(target, {})
+                        row[offset + k] = row.get(offset + k, 0) - sign
+                for row in acc.values():
+                    row = {col: r for col, v in row.items() if (r := red(v))}
+                    if row:
+                        system._absorb(row)
     return system
 
 
@@ -235,18 +257,22 @@ def _bracket_to_vector(system: LinearSystem, bracket: Bracket) -> dict[int, obje
 
 
 def nullspace(system: LinearSystem) -> SolutionBasis:
-    """Basis of the solution space, free columns in ascending order."""
-    one = Fraction(1) if system.ring.kind == "Q" else 1
+    """Basis of the solution space, free columns in ascending order.
+
+    Back-substitutes the echelon rows in place first; reduced row echelon
+    form is unique, so the basis depends only on the system, not on the
+    order its rows were absorbed in.
+    """
+    system._back_substitute()
     pivots = system.rows
+    red = system._reduce
     free = [c for c in range(system.num_unknowns) if c not in pivots]
-    vectors = []
-    for j in free:
-        vec = {j: one}
-        for p, row in pivots.items():
-            v = row.get(j)
-            if v is not None:
-                vec[p] = -v if system.ring.kind == "Q" else (-v) % system.ring.modulus
-        vectors.append(_vector_to_bracket(system, vec))
+    vecs: dict[int, dict[int, object]] = {j: {j: 1} for j in free}
+    for p, row in pivots.items():
+        for col, v in row.items():
+            if col != p:
+                vecs[col][p] = red(-v)
+    vectors = [_vector_to_bracket(system, vecs[j]) for j in free]
     return SolutionBasis(vectors, free)
 
 

@@ -9,6 +9,7 @@ chains, and a disconnected mix.
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from poisset import Poset, SigmaMap, from_covers, make_chain, make_crown
 
@@ -84,6 +85,24 @@ CORPUS = corpus()
 
 def corpus_params():
     return [pytest.param(poset, id=name) for name, poset in CORPUS]
+
+
+@st.composite
+def posets(draw, max_size=6):
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    labels = [str(i) for i in range(1, n + 1)]
+    edges = draw(
+        st.sets(
+            st.tuples(
+                st.integers(min_value=0, max_value=n - 1),
+                st.integers(min_value=0, max_value=n - 1),
+            ),
+            max_size=12,
+        )
+    )
+    # i < j in label order keeps the relation acyclic
+    covers = [(labels[i], labels[j]) for i, j in edges if i < j]
+    return Poset(labels, covers)
 
 
 def random_sigma(poset: Poset, ring, rng) -> SigmaMap:

@@ -361,12 +361,30 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_invalid_thread_cap_warns_but_proceeds(
-        self, crown_file, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("POISSET_THREADS", "lots")
-        assert main(["poset-info", "--poset", crown_file]) == 0
-        assert "POISSET_THREADS" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"elements": [1, 2], "covers": [[1, 2]]},
+            {"elements": ["1", "2"], "covers": [["1", 2]]},
+            {"elements": ["1", "2"], "covers": [["1", "2", "3"]]},
+        ],
+        ids=["int-labels", "int-cover-end", "long-cover"],
+    )
+    def test_non_string_labels_exit_2(self, tmp_path, capsys, data):
+        path = write(tmp_path, "labels.json", data)
+        assert main(["poset-info", "--poset", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("poisset: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_negative_samples_exit_2(self, crown_file, ex12_file, capsys):
+        argv = ["lemma-suite", "--poset", crown_file, "--bracket", ex12_file]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--samples", "-3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--samples: must be >= 0" in err
+        assert main([*argv, "--samples", "0"]) == 0
 
     def test_fence_components_render(self, tmp_path, capsys):
         poset_file = write(tmp_path, "fence.json", fence3().to_json())

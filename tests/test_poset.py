@@ -6,7 +6,7 @@ acyclic by construction (edges only go up in label order).
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from conftest import (
     antichain,
@@ -15,6 +15,7 @@ from conftest import (
     crown_plus_chain3,
     diamond,
     fence3,
+    posets,
 )
 from poisset import Interval, Poset, StrictPair, from_covers, make_chain, make_crown
 from poisset.errors import (
@@ -23,24 +24,6 @@ from poisset.errors import (
     NotComparable,
     UnknownLabel,
 )
-
-
-@st.composite
-def posets(draw, max_size=6):
-    n = draw(st.integers(min_value=1, max_value=max_size))
-    labels = [str(i) for i in range(1, n + 1)]
-    edges = draw(
-        st.sets(
-            st.tuples(
-                st.integers(min_value=0, max_value=n - 1),
-                st.integers(min_value=0, max_value=n - 1),
-            ),
-            max_size=12,
-        )
-    )
-    # i < j in label order keeps the relation acyclic
-    covers = [(labels[i], labels[j]) for i, j in edges if i < j]
-    return Poset(labels, covers)
 
 
 class TestConstruction:

@@ -1,7 +1,7 @@
 """Brute-force linear solver vs the chain-component parametrization.
 
-The solver knows nothing about chain components: it row-reduces the two
-Leibniz identities over the unknown table entries.  Its solution space
+The solver knows nothing about chain components: it row-reduces the
+Leibniz identity over the unknown table entries.  Its solution space
 must then coincide with the span of the component indicator brackets --
 that agreement is the point of the whole construction, so these tests
 treat any mismatch as a hard failure.
@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     CORPUS,
@@ -20,6 +21,7 @@ from conftest import (
     crown_plus_chain3,
     diamond,
     fence3,
+    posets,
     random_sigma,
 )
 from poisset import (
@@ -42,6 +44,7 @@ from poisset import (
 )
 from poisset.errors import NotAField, RingMismatch
 from poisset.solver import _bracket_to_vector
+from reference_solver import reference_build_system, reference_nullspace
 
 Q = RATIONALS
 
@@ -82,6 +85,55 @@ class TestSystemShape:
             build_system(make_chain(2), integers_mod(4))
         with pytest.raises(NotAField):
             classify(make_chain(2), INTEGERS)
+
+
+def assert_same_solution_space(poset, ring):
+    system = build_system(poset, ring)
+    reference = reference_build_system(poset, ring)
+    assert system.num_unknowns == reference.num_unknowns
+    assert system.rank == reference.rank
+    basis = nullspace(system)
+    expected = reference_nullspace(reference)
+    assert basis.free_columns == expected.free_columns
+    assert basis.vectors == expected.vectors
+
+
+class TestAgainstReference:
+    """The echelon solver streams one identity; the reference streams both
+    and keeps its rows fully reduced.  Reduced row echelon form is unique,
+    so the two must agree column for column."""
+
+    @pytest.mark.parametrize("ring", [Q, integers_mod(3)], ids=["Q", "Z3"])
+    @pytest.mark.parametrize(
+        "name,poset", CORPUS, ids=[name for name, _ in CORPUS]
+    )
+    def test_corpus(self, name, poset, ring):
+        assert_same_solution_space(poset, ring)
+
+    @settings(deadline=None)
+    @given(p=posets(max_size=5))
+    def test_random_posets(self, p):
+        for ring in (Q, integers_mod(3)):
+            assert_same_solution_space(p, ring)
+
+    def test_one_identity_streams_half_the_rows(self):
+        for ring in (Q, integers_mod(3)):
+            streamed = build_system(make_crown(), ring).rows_streamed
+            reference = reference_build_system(make_crown(), ring).rows_streamed
+            assert 2 * streamed == reference
+
+    def test_nullspace_twice_gives_the_same_basis(self):
+        system = build_system(fence3(), Q)
+        first = nullspace(system)
+        second = nullspace(system)
+        assert first.free_columns == second.free_columns
+        assert first.vectors == second.vectors
+
+    def test_unit_pivots_keep_integer_rows(self):
+        system = build_system(make_chain(3), Q)
+        nullspace(system)
+        values = [v for row in system.rows.values() for v in row.values()]
+        assert all(type(v) is int for v in values)
 
 
 class TestDimensions:
