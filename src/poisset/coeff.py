@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
 
 from .errors import (
     NotInvertible,
@@ -22,13 +21,36 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 _INTEGER_RE = re.compile(r"[+-]?\d+\Z")
 
 
+# Miller-Rabin on the first 13 prime bases is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, Math.
+# Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError from m >= 3.3e24 on."""
+    if m >= _MR_LIMIT:
+        raise ValueError(
+            f"modulus {m} is too large: primality is decided only below {_MR_LIMIT}"
+        )
     if m < 2:
         return False
-    if m % 2 == 0:
-        return m == 2
-    for d in range(3, isqrt(m) + 1, 2):
-        if m % d == 0:
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
     return True
 

@@ -2,14 +2,16 @@
 partition of strict comparable pairs that parametrizes Poisson structures.
 
 A poset is built from a list of element labels and a list of cover pairs.
-The reflexive-transitive closure is computed on construction; redundant
-covers are removed, so the stored Hasse relation is always the transitive
-reduction.  Element order is the input order; intervals are ordered
-lexicographically by (lo index, hi index).  Posets are immutable.
+The reflexive-transitive closure is computed on construction, as one
+integer bitmask per element holding its up-set (and one its down-set);
+redundant covers are removed, so the stored Hasse relation is always the
+transitive reduction.  Element order is the input order; intervals are
+ordered lexicographically by (lo index, hi index).  Posets are immutable.
 """
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from typing import Iterable, NamedTuple
 
 from .errors import CycleDetected, DuplicateLabel, UnknownLabel
@@ -82,6 +84,38 @@ class _UnionFind:
                 self.parent[ri] = rj
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    if mask.bit_count() > 16:
+        # past a few set bits one scan of the digits beats a big-int step
+        # per bit: one byte per binary digit, lowest first, nonzero where set
+        flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+        return list(compress(range(len(flags)), flags))
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
+def _on_cycle(succ: list[set[int]], left: set[int]) -> int:
+    """An element on a cycle, given the elements a topological sort left.
+
+    Each of them has a predecessor among them, so walking down from any
+    of them must repeat, and the first repeat lies on a cycle.
+    """
+    below = {j: i for i in left for j in succ[i] if j in left}
+    node, seen = min(left), set()
+    while node not in seen:
+        seen.add(node)
+        node = below[node]
+    return node
+
+
 class Poset:
     """An immutable finite poset over opaque string labels."""
 
@@ -106,40 +140,57 @@ class Poset:
                 raise CycleDetected(f"self-cover ({lo!r}, {hi!r})")
             succ[index[lo]].add(index[hi])
 
-        # reachability along covers; a strict cycle breaks antisymmetry
-        reach: list[set[int]] = []
-        for start in range(n):
-            seen: set[int] = set()
-            stack = list(succ[start])
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(succ[node])
-            if start in seen:
-                raise CycleDetected(
-                    f"element {elements[start]!r} lies on a cycle of covers"
-                )
-            reach.append(seen)
+        # Kahn's algorithm; whatever it cannot order lies on or above a cycle
+        indegree = [0] * n
+        for targets in succ:
+            for j in targets:
+                indegree[j] += 1
+        order = [i for i in range(n) if not indegree[i]]
+        for i in order:
+            for j in succ[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    order.append(j)
+        if len(order) < n:
+            left = {i for i in range(n) if indegree[i]}
+            raise CycleDetected(
+                f"element {elements[_on_cycle(succ, left)]!r} lies on a cycle of covers"
+            )
 
-        self._up: tuple[frozenset[int], ...] = tuple(
-            frozenset(reach[i] | {i}) for i in range(n)
-        )
-        # transitive reduction: keep i -> j with no k strictly between
-        irredundant = []
+        # up-sets as bitmasks, top-down; bit j of up[i] means i <= j
+        up = [0] * n
+        for i in reversed(order):
+            mask = 1 << i
+            for j in succ[i]:
+                mask |= up[j]
+            up[i] = mask
+        # every cover is an input edge: keep i -> j unless j lies above
+        # another successor of i
+        hasse = []
         for i in range(n):
-            for j in sorted(reach[i]):
-                if not any(k != j and j in reach[k] for k in reach[i]):
-                    irredundant.append((elements[i], elements[j]))
-        self._covers: tuple[tuple[str, str], ...] = tuple(irredundant)
-
-        self._intervals = tuple(
-            Interval(elements[i], elements[j])
-            for i in range(n)
-            for j in sorted(self._up[i])
+            above = 0
+            for k in succ[i]:
+                above |= up[k] ^ (1 << k)
+            hasse.append(tuple(sorted(j for j in succ[i] if not above >> j & 1)))
+        down = [1 << i for i in range(n)]
+        for i in order:
+            for j in hasse[i]:
+                down[j] |= down[i]
+        self._order = tuple(order)
+        self._up = tuple(up)
+        self._down = tuple(down)
+        self._hasse = tuple(hasse)
+        self._covers: tuple[tuple[str, str], ...] = tuple(
+            (elements[i], elements[j]) for i in range(n) for j in hasse[i]
         )
-        self._interval_index = {iv: k for k, iv in enumerate(self._intervals)}
+
+        # tuple.__new__ builds the named tuples without a Python-level call
+        intervals: list[Interval] = []
+        for i in range(n):
+            tops = map(elements.__getitem__, _bits(up[i]))
+            intervals += map(tuple.__new__, repeat(Interval), zip(repeat(elements[i]), tops))
+        self._intervals = tuple(intervals)
+        self._interval_index = dict(zip(intervals, range(len(intervals))))
 
     # -- basic queries -------------------------------------------------------
 
@@ -166,7 +217,7 @@ class Poset:
 
     def leq(self, x: str, y: str) -> bool:
         """True iff x <= y in the reflexive-transitive closure."""
-        return self.index(y) in self._up[self.index(x)]
+        return bool(self._up[self.index(x)] >> self.index(y) & 1)
 
     def lt(self, x: str, y: str) -> bool:
         return x != y and self.leq(x, y)
@@ -191,18 +242,17 @@ class Poset:
 
     def between(self, lo: str, hi: str) -> tuple[str, ...]:
         """Elements z with lo <= z <= hi, in canonical element order."""
-        i, j = self.index(lo), self.index(hi)
-        return tuple(
-            self._elements[k] for k in sorted(self._up[i]) if j in self._up[k]
-        )
+        mask = self._up[self.index(lo)] & self._down[self.index(hi)]
+        return tuple(self._elements[k] for k in _bits(mask))
 
     # -- structure -----------------------------------------------------------
 
     def connected_components(self) -> tuple[tuple[str, ...], ...]:
         """Partition of the elements under comparability."""
         uf = _UnionFind(len(self._elements))
-        for lo, hi in self._covers:
-            uf.union(self._index[lo], self._index[hi])
+        for i, targets in enumerate(self._hasse):
+            for j in targets:
+                uf.union(i, j)
         groups: dict[int, list[int]] = {}
         for i in range(len(self._elements)):
             groups.setdefault(uf.find(i), []).append(i)
@@ -213,80 +263,80 @@ class Poset:
 
     def maximal_chains(self) -> tuple[tuple[str, ...], ...]:
         """All inclusion-maximal chains, ascending, in DFS order."""
-        n = len(self._elements)
-        children: list[list[int]] = [[] for _ in range(n)]
-        has_parent = [False] * n
-        for lo, hi in self._covers:
-            children[self._index[lo]].append(self._index[hi])
-            has_parent[self._index[hi]] = True
-        for kids in children:
-            kids.sort()
-
+        hasse, labels = self._hasse, self._elements
         chains: list[tuple[str, ...]] = []
-
-        def extend(path: list[int]):
-            tip = path[-1]
-            if not children[tip]:
-                chains.append(tuple(self._elements[i] for i in path))
-                return
-            for child in children[tip]:
-                path.append(child)
-                extend(path)
-                path.pop()
-
-        for start in range(n):
-            if not has_parent[start]:
-                extend([start])
+        for start in range(len(labels)):
+            if self._down[start] != 1 << start:
+                continue
+            # stack[k] walks the covers of path[k]; leaves are never pushed
+            path, stack = [start], [iter(hasse[start])]
+            if not hasse[start]:
+                chains.append((labels[start],))
+            while stack:
+                child = next(stack[-1], None)
+                if child is None:
+                    stack.pop()
+                    path.pop()
+                elif hasse[child]:
+                    path.append(child)
+                    stack.append(iter(hasse[child]))
+                else:
+                    chains.append(tuple(labels[i] for i in path) + (labels[child],))
         return tuple(chains)
 
     def chain_components(self) -> PairPartition:
         """Strict pairs partitioned by the closure of "co-lie in a chain".
 
-        Two strict pairs are merged when their four endpoints are pairwise
-        comparable, which for a finite poset is exactly when some chain
-        contains both pairs.
+        Two strict pairs are in one class when their four endpoints are
+        pairwise comparable, which for a finite poset is exactly when some
+        chain contains both pairs; the classes are the transitive closure
+        of that relation.
+
+        The union-find below merges each strict pair (x, y) with every
+        cover (x, w) with w <= y, and each cover (a, b) with every cover
+        (b, c) above it, which is O(pairs * max degree).  Each merge joins
+        two pairs on the chain x < w <= y or a < b < c, so it is an
+        instance of the rule above.  Conversely, if two pairs lie on one
+        chain, that chain extends to a saturated chain x0 < x1 < ... < xm
+        of covers.  Every pair (xi, xj) on it is merged with its bottom
+        cover (xi, xi+1), and the covers (xi, xi+1), (xi+1, xi+2) are
+        merged one after the next, so the whole chain is one class.
         """
         pairs = self.strict_pairs()
+        up, hasse, index = self._up, self._hasse, self._index
+        slot = {(index[lo], index[hi]): k for k, (lo, hi) in enumerate(pairs)}
         uf = _UnionFind(len(pairs))
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                members = {pairs[a].lo, pairs[a].hi, pairs[b].lo, pairs[b].hi}
-                if self._pairwise_comparable(members):
-                    uf.union(a, b)
+        for (x, y), k in slot.items():
+            for w in hasse[x]:
+                if up[w] >> y & 1:
+                    uf.union(k, slot[x, w])
+        for a, targets in enumerate(hasse):
+            for b in targets:
+                for c in hasse[b]:
+                    uf.union(slot[a, b], slot[b, c])
         groups: dict[int, list[StrictPair]] = {}
         for k, pair in enumerate(pairs):
             groups.setdefault(uf.find(k), []).append(pair)
         return PairPartition(members for _, members in sorted(groups.items()))
 
-    def _pairwise_comparable(self, labels: set[str]) -> bool:
-        items = list(labels)
-        return all(
-            self.comparable(items[i], items[j])
-            for i in range(len(items))
-            for j in range(i + 1, len(items))
-        )
-
     def maximal_chain_overlap(self) -> bool:
         """True iff every two distinct maximal chains share >= 2 elements."""
-        chains = [set(c) for c in self.maximal_chains()]
+        index = self._index
+        chains = [sum(1 << index[x] for x in chain) for chain in self.maximal_chains()]
         return all(
-            len(chains[i] & chains[j]) >= 2
+            (chains[i] & chains[j]).bit_count() >= 2
             for i in range(len(chains))
             for j in range(i + 1, len(chains))
         )
 
     def heights(self) -> dict[str, int]:
         """Length of the longest chain below each element (0 for minimal)."""
-        order = sorted(
-            range(len(self._elements)), key=lambda i: len(self._up[i]), reverse=True
-        )
-        # elements with larger up-sets are lower; process bottom-up
         h = [0] * len(self._elements)
-        for i in order:
-            for j in self._up[i]:
-                if j != i:
-                    h[j] = max(h[j], h[i] + 1)
-        return {self._elements[i]: h[i] for i in range(len(self._elements))}
+        for i in self._order:
+            for j in self._hasse[i]:
+                if h[j] <= h[i]:
+                    h[j] = h[i] + 1
+        return dict(zip(self._elements, h))
 
     # -- equality ------------------------------------------------------------
 

@@ -20,14 +20,17 @@ Run with -v to get one pass/fail line per criterion:
     solver dimension 1
   * algebra core: associativity, identity, and the basis multiplication
     table, exhaustive, < 30 s
+  * chain components of the 300-chain and of the boolean lattice on 7
+    atoms, < 5 s each; `poisset components` on the 300-chain gives one class
 """
 
+import json
 import random
 import time
 
 import pytest
 
-from conftest import CORPUS, random_sigma
+from conftest import CORPUS, boolean_lattice, random_sigma
 from test_bracket import assert_lambda_relations, crown_table
 
 from poisset import (
@@ -49,6 +52,7 @@ from poisset import (
     nullspace,
     random_element,
 )
+from poisset.cli import main
 
 Q = RATIONALS
 
@@ -225,3 +229,25 @@ def test_algebra_core():
                 for e_k in basis:
                     assert (e_i * e_j) * e_k == e_i * (e_j * e_k), name
     assert time.perf_counter() - started < 30.0
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: make_chain(300), lambda: boolean_lattice(7)], ids=["chain300", "bool7"]
+)
+def test_chain_components_scale(build):
+    poset = build()
+    started = time.perf_counter()
+    partition = poset.chain_components()
+    assert time.perf_counter() - started < 5.0
+    assert len(partition) == 1
+    assert sum(map(len, partition.classes)) == len(poset.strict_pairs())
+
+
+def test_components_cli_on_chain300(tmp_path, capsys):
+    path = tmp_path / "chain300.json"
+    path.write_text(json.dumps(make_chain(300).to_json()), encoding="utf-8")
+    assert main(["components", "--poset", str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["connected"] == [list(make_chain(300).elements)]
+    assert len(data["chain_components"]) == 1
+    assert len(data["chain_components"][0]) == 300 * 299 // 2

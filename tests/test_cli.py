@@ -351,6 +351,13 @@ class TestUsageErrors:
         assert main(["classify", "--poset", crown_file, "--ring", "Z/x"]) == 2
         assert main(["classify", "--poset", crown_file, "--ring", "GF4"]) == 2
 
+    def test_ring_past_the_primality_bound_exits_2(self, crown_file, capsys):
+        ring = f"Z/{3_317_044_064_679_887_385_961_981}"
+        assert main(["classify", "--poset", crown_file, "--ring", ring]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("poisset: ") and err.count("\n") == 1
+        assert "too large" in err
+
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["classify"])

@@ -67,6 +67,26 @@ class TestRingSpec:
         for m in range(2, 200):
             assert integers_mod(m).is_field == sympy.isprime(m)
 
+    def test_field_flag_matches_trial_division(self):
+        def trial(m):
+            return m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
+
+        for m in range(2, 1001):
+            assert integers_mod(m).is_field is trial(m), m
+
+    def test_large_moduli(self):
+        assert integers_mod(10**18 + 9).is_field
+        assert not integers_mod((10**9 + 7) * (10**9 + 9)).is_field
+        # Carmichael numbers, the last a strong pseudoprime to bases 2..7
+        for m in (561, 41041, 825265, 3215031751):
+            assert not integers_mod(m).is_field, m
+        below = 3_317_044_064_679_887_385_961_981 - 2
+        assert integers_mod(below).is_field == sympy.isprime(below)
+
+    def test_modulus_past_the_primality_bound_is_refused(self):
+        with pytest.raises(ValueError, match="too large"):
+            RingSpec("Zmod", 3_317_044_064_679_887_385_961_981)
+
     def test_zmod_cache_returns_identical_specs(self):
         assert integers_mod(7) is integers_mod(7)
         assert integers_mod(7) == RingSpec("Zmod", 7)

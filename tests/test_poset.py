@@ -5,8 +5,10 @@ property tests regenerate random posets from cover relations that are
 acyclic by construction (edges only go up in label order).
 """
 
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import (
     antichain,
@@ -17,6 +19,7 @@ from conftest import (
     fence3,
     posets,
 )
+from reference_poset import ReferencePoset
 from poisset import Interval, Poset, StrictPair, from_covers, make_chain, make_crown
 from poisset.errors import (
     CycleDetected,
@@ -48,6 +51,26 @@ class TestConstruction:
     def test_three_cycle(self):
         with pytest.raises(CycleDetected):
             Poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+
+    @pytest.mark.parametrize(
+        "elements, covers, on_cycle",
+        [
+            (["a", "b"], [("a", "b"), ("b", "a")], {"a", "b"}),
+            # "z" sits above the cycle and comes first in element order
+            (["z", "a", "b"], [("a", "b"), ("b", "a"), ("b", "z")], {"a", "b"}),
+            (
+                ["top", "x", "p", "q", "r"],
+                [("x", "p"), ("p", "q"), ("q", "r"), ("r", "p"), ("r", "top")],
+                {"p", "q", "r"},
+            ),
+        ],
+        ids=["two-cycle", "cycle-below-element", "three-cycle-between"],
+    )
+    def test_cycle_message_names_an_element_on_it(self, elements, covers, on_cycle):
+        with pytest.raises(CycleDetected) as exc:
+            Poset(elements, covers)
+        named = {label for label in elements if repr(label) in str(exc.value)}
+        assert len(named) == 1 and named <= on_cycle
 
     def test_redundant_covers_are_dropped(self):
         p = Poset(["1", "2", "3"], [("1", "2"), ("2", "3"), ("1", "3")])
@@ -158,6 +181,16 @@ class TestStructure:
         assert len(chains) == 6  # one per permutation of the three atoms
         assert all(len(c) == 4 for c in chains)
         assert all(c[0] == "0" and c[-1] == "123" for c in chains)
+
+    def test_maximal_chains_need_no_recursion(self):
+        chain = make_chain(300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            chains = chain.maximal_chains()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert chains == (chain.elements,)
 
     def test_maximal_chain_overlap(self):
         assert make_chain(4).maximal_chain_overlap()
@@ -329,3 +362,51 @@ class TestProperties:
         h = p.heights()
         for lo, hi in p.covers:
             assert h[hi] >= h[lo] + 1
+
+
+@st.composite
+def poset_inputs(draw, max_size=7):
+    """Raw constructor input: labels in an order that need not be a linear
+    extension, and acyclic covers that may be redundant."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    ranks = st.integers(min_value=1, max_value=n)
+    edges = draw(st.sets(st.tuples(ranks, ranks), max_size=12))
+    elements = draw(st.permutations([str(i) for i in range(1, n + 1)]))
+    return elements, [(str(i), str(j)) for i, j in edges if i < j]
+
+
+def assert_matches_reference(elements, covers):
+    p, ref = Poset(elements, covers), ReferencePoset(elements, covers)
+    assert p.covers == ref.covers
+    assert p.intervals() == ref.intervals()
+    assert p.strict_pairs() == ref.strict_pairs()
+    for lo, hi in p.intervals():
+        assert p.between(lo, hi) == ref.between(lo, hi)
+    assert p.heights() == ref.heights()
+    assert p.maximal_chains() == ref.maximal_chains()
+    assert p.maximal_chain_overlap() == ref.maximal_chain_overlap()
+    assert p.chain_components().classes == ref.chain_components()
+
+
+class TestAgainstReference:
+    """The bitmask poset layer against the original set-based definitions
+    in tests/reference_poset.py, compared exactly, order included."""
+
+    @given(p=posets(max_size=7))
+    def test_generated(self, p):
+        assert_matches_reference(p.elements, p.covers)
+
+    @given(data=poset_inputs())
+    def test_generated_raw_input(self, data):
+        assert_matches_reference(*data)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            pytest.param(make_chain(12), id="chain12"),
+            pytest.param(boolean_lattice(4), id="bool4"),
+            *corpus_params(),  # fence3 and crown+chain3 among them
+        ],
+    )
+    def test_named(self, p):
+        assert_matches_reference(p.elements, p.covers)
