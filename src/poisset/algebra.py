@@ -14,7 +14,13 @@ from __future__ import annotations
 from typing import Iterable
 
 from .coeff import RingSpec, Scalar, format_scalar, parse_scalar
-from .errors import NotComparable, PosetMismatch, RingMismatch, UnknownLabel
+from .errors import (
+    InvalidPair,
+    NotComparable,
+    PosetMismatch,
+    RingMismatch,
+    UnknownLabel,
+)
 from .poset import Interval, Poset
 
 
@@ -80,38 +86,36 @@ class IncidenceElement:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _values(self) -> dict[Interval, object]:
+        """The coefficients as raw ring values (see RingSpec.reduce)."""
+        return {iv: c.value for iv, c in self.coeffs.items()}
+
     def __add__(self, other):
         if not isinstance(other, IncidenceElement):
             return NotImplemented
         self._check_peer(other)
-        out = dict(self.coeffs)
-        for iv, c in other.coeffs.items():
-            s = out.get(iv)
-            total = c if s is None else s + c
-            if total.is_zero():
-                out.pop(iv, None)
-            else:
-                out[iv] = total
+        out = self._values()
+        self.ring.axpy(out, other._values(), 1)
         return self._wrap(out)
 
     def __sub__(self, other):
         if not isinstance(other, IncidenceElement):
             return NotImplemented
-        return self + (-other)
+        self._check_peer(other)
+        out = self._values()
+        self.ring.axpy(out, other._values(), -1)
+        return self._wrap(out)
 
     def __neg__(self):
-        return self._wrap({iv: -c for iv, c in self.coeffs.items()})
+        out: dict[Interval, object] = {}
+        self.ring.axpy(out, self._values(), -1)
+        return self._wrap(out)
 
     def scale(self, scalar: Scalar) -> "IncidenceElement":
         if scalar.ring != self.ring:
             raise RingMismatch(f"scalar in {scalar.ring}, element in {self.ring}")
-        if scalar.is_zero():
-            return self._wrap({})
-        out = {}
-        for iv, c in self.coeffs.items():
-            p = scalar * c
-            if not p.is_zero():
-                out[iv] = p
+        out: dict[Interval, object] = {}
+        self.ring.axpy(out, self._values(), scalar.value)
         return self._wrap(out)
 
     def __mul__(self, other):
@@ -119,21 +123,23 @@ class IncidenceElement:
         if not isinstance(other, IncidenceElement):
             return NotImplemented
         self._check_peer(other)
-        leq = self.poset.leq
-        out: dict[Interval, Scalar] = {}
+        if not (self.coeffs and other.coeffs):
+            return self._wrap({})
+        # f(x, z) e_xz times the terms g(z, v) e_zv of g starting at z;
+        # x <= z <= v, so each product e_xz e_zv = e_xv is an interval
+        starting: dict[str, dict] = {z: {} for _, z in self.coeffs}
+        for (z, v), b in other.coeffs.items():
+            if z in starting:
+                starting[z][v] = b.value
+        axpy = self.ring.axpy
+        rows: dict[str, dict] = {}
         for (x, z), a in self.coeffs.items():
-            for (u, v), b in other.coeffs.items():
-                if z != u or not leq(x, v):
-                    continue
-                iv = Interval(x, v)
-                p = a * b
-                s = out.get(iv)
-                total = p if s is None else s + p
-                if total.is_zero():
-                    out.pop(iv, None)
-                else:
-                    out[iv] = total
-        return self._wrap(out)
+            terms = starting[z]
+            if terms:
+                axpy(rows.setdefault(x, {}), terms, a.value)
+        return self._wrap(
+            {Interval(x, v): c for x, row in rows.items() for v, c in row.items()}
+        )
 
     def commutator(self, other: "IncidenceElement") -> "IncidenceElement":
         """[f, g] = f g - g f."""
@@ -154,27 +160,29 @@ class IncidenceElement:
         """
         if not self.poset.leq(lo, hi):
             raise NotComparable(f"{lo!r} <= {hi!r} does not hold")
-        out: dict[Interval, Scalar] = {}
+        out: dict[Interval, object] = {}
         for v in self.poset.between(lo, hi):
             if v != hi:
                 c = self.coeffs.get(Interval(lo, v))
                 if c is not None:
-                    out[Interval(lo, v)] = c
+                    out[Interval(lo, v)] = c.value
         for u in self.poset.between(lo, hi):
             if u != lo:
                 c = self.coeffs.get(Interval(u, hi))
                 if c is not None:
-                    out[Interval(u, hi)] = c
+                    out[Interval(u, hi)] = c.value
         c = self.coeffs.get(Interval(lo, hi))
         if c is not None:
-            out[Interval(lo, hi)] = c
+            out[Interval(lo, hi)] = c.value
         return self._wrap(out)
 
-    def _wrap(self, coeffs: dict[Interval, Scalar]) -> "IncidenceElement":
+    def _wrap(self, values: dict[Interval, object]) -> "IncidenceElement":
+        """An element over the same poset and ring from canonical nonzero
+        raw values, wrapped into Scalars here, once."""
         el = IncidenceElement.__new__(IncidenceElement)
         el.poset = self.poset
-        el.ring = self.ring
-        el.coeffs = coeffs
+        el.ring = ring = self.ring
+        el.coeffs = {iv: Scalar(ring, v) for iv, v in values.items()} if values else {}
         return el
 
     # -- predicates ----------------------------------------------------------
@@ -232,6 +240,8 @@ class IncidenceElement:
 
     @staticmethod
     def from_json(poset: Poset, data: dict, ring: RingSpec | None = None) -> "IncidenceElement":
+        if not isinstance(data, dict):
+            raise ValueError("element JSON must be an object")
         if ring is None:
             ring = RingSpec.from_json(data["ring"])
         coeffs: dict[Interval, Scalar] = {}
@@ -242,8 +252,9 @@ class IncidenceElement:
             if not poset.leq(lo, hi):
                 raise NotComparable(f"{lo!r} <= {hi!r} does not hold")
             iv = Interval(lo, hi)
-            c = parse_scalar(ring, entry["coeff"])
-            coeffs[iv] = coeffs[iv] + c if iv in coeffs else c
+            if iv in coeffs:
+                raise InvalidPair(f"duplicate entry for ({lo!r}, {hi!r})")
+            coeffs[iv] = parse_scalar(ring, entry["coeff"])
         return IncidenceElement(poset, ring, coeffs)
 
 

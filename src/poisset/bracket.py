@@ -18,7 +18,7 @@ import random
 from typing import Iterable, Mapping
 
 from .algebra import IncidenceElement, random_element
-from .coeff import RingSpec, Scalar, format_scalar, parse_scalar
+from .coeff import Echelon, RingSpec, Scalar, format_scalar, parse_scalar
 from .errors import (
     InconsistentAntisymmetry,
     InvalidPair,
@@ -150,10 +150,14 @@ class SigmaMap:
 
     @staticmethod
     def from_json(poset: Poset, ring: RingSpec, data: dict) -> "SigmaMap":
+        if not isinstance(data, dict):
+            raise ValueError("sigma JSON must be an object")
         values = {}
         for entry in data.get("entries", []):
-            lo, hi = entry["lo"], entry["hi"]
-            values[(lo, hi)] = parse_scalar(ring, entry["value"])
+            key = (entry["lo"], entry["hi"])
+            if key in values:
+                raise InvalidPair(f"duplicate sigma entry for {key}")
+            values[key] = parse_scalar(ring, entry["value"])
         return SigmaMap(poset, ring, values)
 
 
@@ -169,31 +173,6 @@ def _basis_products(poset: Poset) -> dict[tuple[Interval, Interval], Interval]:
             if i.hi == j.lo:
                 out[(i, j)] = Interval(i.lo, j.hi)
     return out
-
-
-def _scale_into(acc: dict, coeffs: dict, factor: Scalar):
-    for iv, c in coeffs.items():
-        p = factor * c
-        if iv in acc:
-            s = acc[iv] + p
-            if s.is_zero():
-                del acc[iv]
-            else:
-                acc[iv] = s
-        elif not p.is_zero():
-            acc[iv] = p
-
-
-def _sub_into(acc: dict, coeffs: dict):
-    for iv, c in coeffs.items():
-        if iv in acc:
-            s = acc[iv] - c
-            if s.is_zero():
-                del acc[iv]
-            else:
-                acc[iv] = s
-        else:
-            acc[iv] = -c
 
 
 def _mul_right(coeffs: dict, b: Interval) -> dict:
@@ -218,7 +197,7 @@ class Bracket:
     held so that the checks can report its violations.
     """
 
-    __slots__ = ("poset", "ring", "antisymmetric_mode", "_table", "_zero")
+    __slots__ = ("poset", "ring", "antisymmetric_mode", "_table", "_zero", "_full")
 
     def __init__(
         self,
@@ -232,6 +211,7 @@ class Bracket:
         self.antisymmetric_mode = antisymmetric_mode
         self._table = table
         self._zero = IncidenceElement.zero(poset, ring)
+        self._full = None
 
     @staticmethod
     def from_basis_table(
@@ -299,13 +279,19 @@ class Bracket:
         return -stored if stored is not None else self._zero
 
     def _full_coeffs(self) -> dict[tuple[Interval, Interval], dict]:
-        """Coefficient dicts for every nonzero pair, both orientations."""
-        full: dict[tuple[Interval, Interval], dict] = {}
-        for (i, j), el in self._table.items():
-            full[(i, j)] = el.coeffs
-            if self.antisymmetric_mode:
-                full[(j, i)] = {iv: -c for iv, c in el.coeffs.items()}
-        return full
+        """Raw coefficient dicts for every nonzero pair, both orientations.
+
+        Built on first use and shared afterwards; callers must not mutate it.
+        """
+        if self._full is None:
+            full: dict[tuple[Interval, Interval], dict] = {}
+            for (i, j), el in self._table.items():
+                full[(i, j)] = values = el._values()
+                if self.antisymmetric_mode:
+                    full[(j, i)] = mirrored = {}
+                    self.ring.axpy(mirrored, values, -1)
+            self._full = full
+        return self._full
 
     def stored_pairs(self) -> list[tuple[Interval, Interval]]:
         order = self.poset.interval_index
@@ -320,13 +306,15 @@ class Bracket:
                 raise PosetMismatch("argument lives over another poset")
             if el.ring != self.ring:
                 raise RingMismatch(f"argument lives in {el.ring}, not {self.ring}")
-        acc: dict[Interval, Scalar] = {}
+        full = self._full_coeffs()
+        axpy = self.ring.axpy
+        acc: dict[Interval, object] = {}
         for i, fi in f.coeffs.items():
             for j, gj in g.coeffs.items():
-                val = self.value(i, j)
-                if val.coeffs:
-                    _scale_into(acc, val.coeffs, fi * gj)
-        return IncidenceElement(self.poset, self.ring, acc)
+                val = full.get((i, j))
+                if val:
+                    axpy(acc, val, fi.value * gj.value)
+        return f._wrap(acc)
 
     # -- equality ------------------------------------------------------------
 
@@ -375,6 +363,8 @@ class Bracket:
     def from_json(
         poset: Poset, ring: RingSpec, data: dict, antisymmetric: bool = True
     ) -> "Bracket":
+        if not isinstance(data, dict):
+            raise ValueError("bracket JSON must be an object")
         entries = {}
         for pair in data.get("pairs", []):
             left = (pair["left"]["lo"], pair["left"]["hi"])
@@ -409,13 +399,7 @@ def check_antisymmetric(bracket: Bracket) -> CheckReport:
             forward = full.get((i, j), empty)
             backward = full.get((j, i), empty)
             residual = dict(forward)
-            for iv, c in backward.items():
-                s = residual.get(iv)
-                total = c if s is None else s + c
-                if total.is_zero():
-                    residual.pop(iv, None)
-                else:
-                    residual[iv] = total
+            bracket.ring.axpy(residual, backward, 1)
             if residual:
                 report.fail("antisymmetry", {"left": list(i), "right": list(j)})
             else:
@@ -437,6 +421,7 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
     ivs = P.intervals()
     prod = _basis_products(P)
     full = bracket._full_coeffs()
+    axpy = bracket.ring.axpy
     empty: dict = {}
     antisym = check_antisymmetric(bracket).ok
     fail1: set = set()
@@ -451,8 +436,8 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
                 lhs1 = full.get((ab, c), empty) if ab is not None else empty
                 if lhs1 or f_ac or f_bc:
                     residual = dict(lhs1)
-                    _sub_into(residual, _mul_right(f_ac, b))
-                    _sub_into(residual, _mul_left(a, f_bc))
+                    axpy(residual, _mul_right(f_ac, b), -1)
+                    axpy(residual, _mul_left(a, f_bc), -1)
                     ok1 = not residual
                 else:
                     ok1 = True
@@ -469,8 +454,8 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
                 lhs2 = full.get((a, bc), empty) if bc is not None else empty
                 if lhs2 or f_ab or f_ac:
                     residual = dict(lhs2)
-                    _sub_into(residual, _mul_right(f_ab, c))
-                    _sub_into(residual, _mul_left(b, f_ac))
+                    axpy(residual, _mul_right(f_ab, c), -1)
+                    axpy(residual, _mul_left(b, f_ac), -1)
                     ok2 = not residual
                 else:
                     ok2 = True
@@ -500,13 +485,14 @@ def check_jacobi(bracket: Bracket) -> CheckReport:
     report = CheckReport("jacobi")
     ivs = bracket.poset.intervals()
     full = bracket._full_coeffs()
+    axpy = bracket.ring.axpy
     empty: dict = {}
 
     def apply(left: Interval, coeffs: dict, acc: dict):
         for k, ck in coeffs.items():
             inner = full.get((left, k))
             if inner:
-                _scale_into(acc, inner, ck)
+                axpy(acc, inner, ck)
 
     for a in ivs:
         for b in ivs:
@@ -517,7 +503,7 @@ def check_jacobi(bracket: Bracket) -> CheckReport:
                 if not (f_ab or f_bc or f_ca):
                     report.count_pass("jacobi")
                     continue
-                acc: dict[Interval, Scalar] = {}
+                acc: dict[Interval, object] = {}
                 apply(a, f_bc, acc)
                 apply(b, f_ca, acc)
                 apply(c, f_ab, acc)
@@ -663,50 +649,15 @@ class PiecewiseWitness:
         self.lambdas = list(lambdas)
 
 
-def _coords(el: IncidenceElement, index: dict[Interval, int]) -> dict[int, Scalar]:
-    return {index[iv]: c for iv, c in el.coeffs.items()}
+def _coords(el: IncidenceElement, index: dict[Interval, int]) -> dict[int, object]:
+    return {index[iv]: c.value for iv, c in el.coeffs.items()}
 
 
-def _reduce_against(row: dict[int, Scalar], basis: dict[int, dict[int, Scalar]]):
-    """Eliminate the pivots of basis from row, in place."""
-    for col in sorted(row):
-        if col in basis and col in row:
-            factor = row[col]
-            for k, v in basis[col].items():
-                p = factor * v
-                s = row.get(k)
-                total = -p if s is None else s - p
-                if total.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = total
-
-
-def _span_basis(
-    vectors: Iterable[dict[int, Scalar]],
-) -> dict[int, dict[int, Scalar]]:
-    """Row-reduce vectors into a pivot-keyed basis (requires a field)."""
-    basis: dict[int, dict[int, Scalar]] = {}
+def _span(ring: RingSpec, vectors: Iterable[dict[int, object]]) -> Echelon:
+    span = Echelon(ring)
     for vec in vectors:
-        row = dict(vec)
-        _reduce_against(row, basis)
-        if not row:
-            continue
-        pivot = min(row)
-        inv = row[pivot].inverse()
-        normalized = {k: inv * v for k, v in row.items()}
-        for other in basis.values():
-            if pivot in other:
-                factor = other[pivot]
-                for k, v in normalized.items():
-                    s = other.get(k)
-                    total = -(factor * v) if s is None else s - factor * v
-                    if total.is_zero():
-                        other.pop(k, None)
-                    else:
-                        other[k] = total
-        basis[pivot] = normalized
-    return basis
+        span.absorb(vec)
+    return span
 
 
 def verify_piecewise_witness(
@@ -726,18 +677,14 @@ def verify_piecewise_witness(
     report = CheckReport("piecewise")
     P, R = bracket.poset, bracket.ring
     index = {iv: k for k, iv in enumerate(P.intervals())}
-    bases = [
-        _span_basis(_coords(g, index) for g in gens) for gens in witness.ideals
-    ]
+    bases = [_span(R, (_coords(g, index) for g in gens)) for gens in witness.ideals]
 
     for pos, (gens, basis) in enumerate(zip(witness.ideals, bases)):
         ok = True
         for g in gens:
             for lo, hi in P.intervals():
                 e = IncidenceElement.basis(P, R, lo, hi)
-                row = _coords(g.commutator(e), index)
-                _reduce_against(row, basis)
-                if row:
+                if basis.residue(_coords(g.commutator(e), index)):
                     ok = False
                     report.fail(
                         "piecewise.lie_ideal",
@@ -746,18 +693,16 @@ def verify_piecewise_witness(
         if ok:
             report.count_pass("piecewise.lie_ideal")
 
-    ranks = [len(b) for b in bases]
-    joint = _span_basis(
-        _coords(g, index) for gens in witness.ideals for g in gens
-    )
-    if len(joint) == sum(ranks) == len(index):
+    ranks = [b.rank for b in bases]
+    joint = _span(R, (_coords(g, index) for gens in witness.ideals for g in gens))
+    if joint.rank == sum(ranks) == len(index):
         report.count_pass("piecewise.direct_sum")
     else:
         report.fail(
             "piecewise.direct_sum",
             {
                 "ranks": ranks,
-                "joint_rank": len(joint),
+                "joint_rank": joint.rank,
                 "dimension": len(index),
             },
         )

@@ -3,12 +3,15 @@
 Every scalar is stored in a canonical form (reduced fraction with positive
 denominator, plain integer, or residue in [0, m)), so structural equality
 coincides with equality in the ring.  All arithmetic is arbitrary precision.
+This module is the one arithmetic kernel: RingSpec's raw-value operations
+(reduce, inv, the sparse axpy) and Echelon's elimination serve every other.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Mapping
 
 from .errors import (
     NotInvertible,
@@ -99,23 +102,72 @@ class RingSpec:
             return f"Z/{self.modulus}"
         return self.kind
 
+    # -- raw-value arithmetic -------------------------------------------------
+    # on plain ints and Fractions in the canonical form Scalar.value holds;
+    # hot loops use these and wrap results into Scalars once, at the end
+
+    def reduce(self, v):
+        """Canonical representative of a raw value: its residue over Z/m."""
+        if self.modulus is None:
+            return v
+        return v % self.modulus
+
+    def inv(self, v):
+        """Inverse of a raw value, NotInvertible for non-units; over Q the
+        units 1 and -1 keep their type, so integer rows stay integer."""
+        if self.kind == "Q":
+            if v == 0:
+                raise NotInvertible("0 has no inverse")
+            return v if v in (1, -1) else 1 / Fraction(v)
+        if self.kind == "Z":
+            if v in (1, -1):
+                return v
+            raise NotInvertible(f"{v} is not a unit of Z")
+        try:
+            return pow(v, -1, self.modulus)
+        except ValueError:
+            raise NotInvertible(f"{v} is not invertible mod {self.modulus}") from None
+
+    def axpy(self, acc: dict, x: Mapping, a) -> None:
+        """acc += a * x over raw values, in place; entries that become zero
+        are dropped, so acc never stores a zero."""
+        if not x:  # most calls from the Leibniz check
+            return
+        get = acc.get
+        m = self.modulus
+        if m is not None:
+            for k, v in x.items():
+                s = (get(k, 0) + a * v) % m
+                if s:
+                    acc[k] = s
+                else:
+                    acc.pop(k, None)
+            return
+        # Fraction arithmetic is slow, comparisons included: no product
+        # for a = 1, a negation for a = -1, a sum only where acc holds k
+        scale, negate = a != 1, a == -1
+        for k, v in x.items():
+            if scale:
+                v = -v if negate else a * v
+            s = get(k)
+            if s is not None:
+                v += s
+            if v:
+                acc[k] = v
+            else:
+                acc.pop(k, None)
+
     # -- scalar construction -------------------------------------------------
 
     def scalar(self, value) -> "Scalar":
-        """Canonical scalar from an int, Fraction, or numerator/denominator pair."""
+        """Canonical scalar from an int or a Fraction."""
         if self.kind == "Q":
             return Scalar(self, Fraction(value))
-        if self.kind == "Z":
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise ValueError(f"{value} is not an integer")
-                value = value.numerator
-            return Scalar(self, int(value))
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise ValueError(f"{value} is not an integer")
             value = value.numerator
-        return Scalar(self, int(value) % self.modulus)
+        return Scalar(self, self.reduce(int(value)))
 
     @property
     def zero(self) -> "Scalar":
@@ -163,8 +215,8 @@ class Scalar:
     __slots__ = ("ring", "value")
 
     def __init__(self, ring: RingSpec, value):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "value", value)
+        _set_ring(self, ring)
+        _set_value(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -177,49 +229,22 @@ class Scalar:
 
     def __add__(self, other):
         self._check(other)
-        v = self.value + other.value
-        if self.ring.kind == "Zmod":
-            v %= self.ring.modulus
-        return Scalar(self.ring, v)
+        return Scalar(self.ring, self.ring.reduce(self.value + other.value))
 
     def __sub__(self, other):
         self._check(other)
-        v = self.value - other.value
-        if self.ring.kind == "Zmod":
-            v %= self.ring.modulus
-        return Scalar(self.ring, v)
+        return Scalar(self.ring, self.ring.reduce(self.value - other.value))
 
     def __mul__(self, other):
         self._check(other)
-        v = self.value * other.value
-        if self.ring.kind == "Zmod":
-            v %= self.ring.modulus
-        return Scalar(self.ring, v)
+        return Scalar(self.ring, self.ring.reduce(self.value * other.value))
 
     def __neg__(self):
-        v = -self.value
-        if self.ring.kind == "Zmod":
-            v %= self.ring.modulus
-        return Scalar(self.ring, v)
+        return Scalar(self.ring, self.ring.reduce(-self.value))
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; raises NotInvertible for non-units."""
-        ring = self.ring
-        if ring.kind == "Q":
-            if self.value == 0:
-                raise NotInvertible("0 has no inverse")
-            return Scalar(ring, 1 / self.value)
-        if ring.kind == "Z":
-            if self.value in (1, -1):
-                return self
-            raise NotInvertible(f"{self.value} is not a unit of Z")
-        try:
-            v = pow(self.value, -1, ring.modulus)
-        except ValueError:
-            raise NotInvertible(
-                f"{self.value} is not invertible mod {ring.modulus}"
-            ) from None
-        return Scalar(ring, v)
+        return Scalar(self.ring, self.ring.inv(self.value))
 
     def __truediv__(self, other):
         self._check(other)
@@ -249,8 +274,15 @@ class Scalar:
         return format_scalar(self)
 
 
+# slot setters: past the immutability guard, faster than object.__setattr__
+_set_ring = Scalar.ring.__set__
+_set_value = Scalar.value.__set__
+
+
 def parse_scalar(ring: RingSpec, text: str) -> Scalar:
     """Parse scalar text: "p/q" over Q, a plain signed integer otherwise."""
+    if not isinstance(text, str):
+        raise ScalarParseError(f"scalar must be given as text, got {text!r}")
     text = text.strip()
     if ring.kind == "Q":
         if not _RATIONAL_RE.fullmatch(text):
@@ -271,3 +303,65 @@ def format_scalar(a: Scalar) -> str:
     if a.ring.kind == "Q" and a.value.denominator != 1:
         return f"{a.value.numerator}/{a.value.denominator}"
     return str(a.value if a.ring.kind != "Q" else a.value.numerator)
+
+
+class Echelon:
+    """Sparse rows over a field, kept in echelon form by forward elimination.
+
+    rows maps each pivot column to its row {column: raw value}, whose pivot
+    entry is 1 and which is zero left of the pivot.  Stored rows are never
+    rewritten while rows are absorbed; back_substitute() brings them to
+    reduced row echelon form in place, once, at the end.
+    """
+
+    def __init__(self, ring: RingSpec):
+        self.ring = ring
+        self.rows: dict[int, dict] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def absorb(self, row: dict) -> bool:
+        """Reduce row (consumed) at its least column until that column is
+        no pivot, then store it scaled to 1 there; True iff the rank rose."""
+        rows, ring = self.rows, self.ring
+        while row:
+            pivot = min(row)
+            pivot_row = rows.get(pivot)
+            if pivot_row is None:
+                inv = ring.inv(row[pivot])
+                if inv != 1:
+                    scaled: dict = {}
+                    ring.axpy(scaled, row, inv)
+                    row = scaled
+                rows[pivot] = row
+                return True
+            ring.axpy(row, pivot_row, -row[pivot])
+        return False
+
+    def residue(self, row: Mapping) -> dict:
+        """row minus a combination of the stored rows that clears every
+        pivot column; empty iff row lies in their span."""
+        out = dict(row)
+        rows, axpy = self.rows, self.ring.axpy
+        # a stored row is zero left of its pivot, so clearing the pivots in
+        # ascending order never refills one already cleared
+        for pivot in sorted(rows):
+            c = out.get(pivot)
+            if c:
+                axpy(out, rows[pivot], -c)
+        return out
+
+    def back_substitute(self) -> None:
+        """Bring the rows to reduced row echelon form, in place.
+
+        Pivots are visited in descending order, so every pivot row a row
+        is reduced by is already zero at all other pivot columns, and one
+        pass over the row's own pivot columns suffices.
+        """
+        rows, axpy = self.rows, self.ring.axpy
+        for pivot in sorted(rows, reverse=True):
+            row = rows[pivot]
+            for col in [c for c in row if c != pivot and c in rows]:
+                axpy(row, rows[col], -row[col])

@@ -16,8 +16,6 @@ classification; classify() then cross-checks the two against each other.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import IncidenceElement
 from .bracket import (
     Bracket,
@@ -27,26 +25,27 @@ from .bracket import (
     extract_sigma,
     from_sigma,
 )
-from .coeff import RingSpec, Scalar
+from .coeff import Echelon, RingSpec, Scalar
 from .errors import BijectionViolation, NotAField, RingMismatch
 from .poset import Interval, Poset
 
 
-class LinearSystem:
-    """The constraint system, kept as its independent rows in echelon form.
+class LinearSystem(Echelon):
+    """The constraint system, kept as its independent rows in echelon form;
+    their nullspace is that of the full streamed system.
 
-    rows maps a pivot column to a sparse row {column: coefficient} whose
-    pivot coefficient is 1 and which is zero left of its pivot; nullspace()
-    reduces them in place so that each is also zero at every other pivot
-    column.  The nullspace of the full streamed system equals the nullspace
-    of these rows.
+    Every row is homogeneous for the Z^P grading deg e_xy = eps_x - eps_y
+    (convolution respects it, and column B(e_i, e_j)(k) has degree
+    deg k - deg i - deg j), and so is every stored row; a row therefore
+    only ever meets pivot rows of its own degree block, and elimination is
+    block-local without any block bookkeeping.
     """
 
     def __init__(self, poset: Poset, ring: RingSpec):
         if not ring.is_field:
             raise NotAField(f"{ring} is not a field")
+        super().__init__(ring)
         self.poset = poset
-        self.ring = ring
         intervals = poset.intervals()
         self.intervals = intervals
         self.interval_rank = {iv: k for k, iv in enumerate(intervals)}
@@ -57,7 +56,6 @@ class LinearSystem:
         ]
         self.pair_rank = {pair: r for r, pair in enumerate(self.pairs)}
         self.num_unknowns = len(self.pairs) * len(intervals)
-        self.rows: dict[int, dict[int, object]] = {}
         self.rows_streamed = 0
 
     def column(self, i: Interval, j: Interval, k: Interval) -> tuple[int, int]:
@@ -68,71 +66,6 @@ class LinearSystem:
         r = self.pair_rank[(j, i)]
         return r * len(self.intervals) + self.interval_rank[k], -1
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    # -- incremental forward elimination ------------------------------------
-
-    def _reduce(self, value):
-        """Canonical representative of a raw field value."""
-        if self.ring.kind == "Zmod":
-            return value % self.ring.modulus
-        return value
-
-    def _inv(self, value):
-        """Inverse of a nonzero raw value; over Q, units ±1 stay ints."""
-        if self.ring.kind == "Q":
-            return value if value in (1, -1) else 1 / Fraction(value)
-        return pow(value, -1, self.ring.modulus)
-
-    def _subtract(self, row: dict, factor, pivot_row: dict) -> None:
-        """row -= factor * pivot_row, dropping the entries that vanish."""
-        red = self._reduce
-        for k, v in pivot_row.items():
-            value = red(row.get(k, 0) - factor * v)
-            if value:
-                row[k] = value
-            else:
-                row.pop(k, None)
-
-    def _absorb(self, row: dict[int, object]):
-        """Reduce a row by the stored pivots and keep it if it is new.
-
-        Only the incoming row changes.  Every row is homogeneous for the
-        Z^P grading deg e_xy = eps_x - eps_y (convolution respects it, and
-        column B(e_i, e_j)(k) has degree deg k - deg i - deg j), and so is
-        every stored row; a row therefore only ever meets pivot rows of its
-        own degree block, and elimination is block-local without any block
-        bookkeeping.
-        """
-        self.rows_streamed += 1
-        rows = self.rows
-        while row:
-            pivot = min(row)
-            pivot_row = rows.get(pivot)
-            if pivot_row is None:
-                inv = self._inv(row[pivot])
-                if inv != 1:
-                    red = self._reduce
-                    row = {k: red(inv * v) for k, v in row.items()}
-                rows[pivot] = row
-                return
-            self._subtract(row, row[pivot], pivot_row)
-
-    def _back_substitute(self) -> None:
-        """Bring the echelon rows to reduced row echelon form, in place.
-
-        Pivots are visited in descending order, so every pivot row a row
-        is reduced by is already zero at all other pivot columns, and one
-        pass over the row's own pivot columns suffices.
-        """
-        rows = self.rows
-        for pivot in sorted(rows, reverse=True):
-            row = rows[pivot]
-            for col in [c for c in row if c != pivot and c in rows]:
-                self._subtract(row, row[col], rows[col])
-
     def satisfied_by(self, vector: dict[int, object]) -> bool:
         """True iff the vector solves every absorbed equation."""
         for row in self.rows.values():
@@ -141,7 +74,7 @@ class LinearSystem:
                 v = vector.get(col)
                 if v is not None:
                     total += coeff * v
-            if self._reduce(total):
+            if self.ring.reduce(total):
                 return False
         return True
 
@@ -169,7 +102,7 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     intervals = system.intervals
     index = system.interval_rank
     n = len(intervals)
-    red = system._reduce
+    axpy, absorb = field.axpy, system.absorb
 
     # unknown[i][j] = (offset, sign): B(e_i, e_j)(e_k) = sign * x[offset + k];
     # None on the diagonal, where antisymmetry makes B vanish
@@ -222,10 +155,12 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
                     for target, k in moves:
                         row = acc.setdefault(target, {})
                         row[offset + k] = row.get(offset + k, 0) - sign
-                for row in acc.values():
-                    row = {col: r for col, v in row.items() if (r := red(v))}
+                for raw in acc.values():
+                    row: dict[int, object] = {}
+                    axpy(row, raw, 1)  # canonical values, zeros dropped
                     if row:
-                        system._absorb(row)
+                        system.rows_streamed += 1
+                        absorb(row)
     return system
 
 
@@ -263,9 +198,9 @@ def nullspace(system: LinearSystem) -> SolutionBasis:
     form is unique, so the basis depends only on the system, not on the
     order its rows were absorbed in.
     """
-    system._back_substitute()
+    system.back_substitute()
     pivots = system.rows
-    red = system._reduce
+    red = system.ring.reduce
     free = [c for c in range(system.num_unknowns) if c not in pivots]
     vecs: dict[int, dict[int, object]] = {j: {j: 1} for j in free}
     for p, row in pivots.items():

@@ -16,6 +16,13 @@ from poisset.solver import LinearSystem, SolutionBasis, _vector_to_bracket
 class ReferenceSystem(LinearSystem):
     """LinearSystem whose rows are reduced and zero at every other pivot."""
 
+    def _reduce(self, value):
+        """Its own ring reduction: the reference shares no arithmetic with
+        the solver it checks."""
+        if self.ring.kind == "Zmod":
+            return value % self.ring.modulus
+        return value
+
     def _inv(self, value):
         if self.ring.kind == "Q":
             return 1 / value

@@ -23,6 +23,7 @@ from poisset import (
     random_element,
 )
 from poisset.errors import (
+    InvalidPair,
     NotComparable,
     PosetMismatch,
     RingMismatch,
@@ -315,6 +316,19 @@ class TestSerialization:
                 CHAIN3,
                 {"ring": "Q", "entries": [{"lo": "1", "hi": "x", "coeff": "1"}]},
             )
+
+    def test_json_rejects_duplicate_entries(self):
+        # summing them would let 1 and -1 at (1, 2) cancel unseen
+        entries = [
+            {"lo": "1", "hi": "2", "coeff": "1"},
+            {"lo": "1", "hi": "2", "coeff": "-1"},
+        ]
+        with pytest.raises(InvalidPair, match="duplicate"):
+            IncidenceElement.from_json(CHAIN3, {"ring": "Q", "entries": entries})
+
+    def test_json_rejects_non_object(self):
+        with pytest.raises(ValueError):
+            IncidenceElement.from_json(CHAIN3, [], ring=RATIONALS)
 
     def test_repr(self):
         assert repr(el(CHAIN3, {("1", "2"): 2})) == "2*e[1,2]"

@@ -130,6 +130,14 @@ class TestSigmaMap:
         assert len(data["entries"]) == 4  # total map, zeros included
         assert SigmaMap.from_json(CROWN, Q, data) == sigma
 
+    def test_json_rejects_duplicates_and_non_objects(self):
+        data = crown_sigma(1, 2, 3, 4).to_json()
+        data["entries"].append(dict(data["entries"][0], value="7"))
+        with pytest.raises(InvalidPair, match="duplicate"):
+            SigmaMap.from_json(CROWN, Q, data)
+        with pytest.raises(ValueError):
+            SigmaMap.from_json(CROWN, Q, [])
+
     def test_equality_and_hash(self):
         assert crown_sigma(1, 2, 3, 4) == crown_sigma(1, 2, 3, 4)
         assert crown_sigma(1, 2, 3, 4) != crown_sigma(1, 2, 3, 5)
@@ -260,6 +268,10 @@ class TestBracketSerialization:
         data["pairs"].append(data["pairs"][0])
         with pytest.raises(InvalidPair):
             Bracket.from_json(CROWN, Q, data)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError):
+            Bracket.from_json(CROWN, Q, [])
 
 
 class TestChecks:

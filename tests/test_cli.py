@@ -4,9 +4,15 @@ All invocations go through main(argv) in-process; files live in tmp_path.
 Exit code contract: 0 clean, 1 checks found violations, 2 usage errors.
 """
 
+import copy
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fence3
 from poisset import SigmaMap, RATIONALS, from_sigma, make_chain, make_crown
@@ -398,3 +404,130 @@ class TestUsageErrors:
         assert main(["components", "--poset", poset_file]) == 0
         out = capsys.readouterr().out
         assert "(a,b)" in out and "(c,b)" in out
+
+
+class TestMalformedTables:
+    """Malformed sigma and bracket files exit 2 with one line, no traceback."""
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("poisset: ") and err.count("\n") == 1, err
+        return code
+
+    def test_sigma_top_level_list(self, crown_file, tmp_path, capsys):
+        sigma = write(tmp_path, "sigma.json", [])
+        argv = ["from-sigma", "--poset", crown_file, "--sigma", sigma]
+        assert self.run(argv, capsys) == 2
+
+    def test_bracket_top_level_list(self, crown_file, tmp_path, capsys):
+        bracket = write(tmp_path, "bracket.json", [])
+        argv = ["verify", "--poset", crown_file, "--bracket", bracket]
+        assert self.run(argv, capsys) == 2
+
+    def test_sigma_value_not_a_string(self, crown_file, tmp_path, capsys):
+        data = crown_sigma_json()
+        data["entries"][0]["value"] = 3
+        sigma = write(tmp_path, "sigma.json", data)
+        argv = ["from-sigma", "--poset", crown_file, "--sigma", sigma]
+        assert self.run(argv, capsys) == 2
+
+    def test_duplicate_sigma_entry(self, crown_file, tmp_path, capsys):
+        data = crown_sigma_json()
+        data["entries"].append(data["entries"][0])
+        sigma = write(tmp_path, "sigma.json", data)
+        argv = ["from-sigma", "--poset", crown_file, "--sigma", sigma]
+        assert self.run(argv, capsys) == 2
+
+    def test_cancelling_duplicate_bracket_entries(self, crown_file, tmp_path, capsys):
+        # 1 and -1 at (1, 3) once summed to a zero table that passed
+        value = [
+            {"lo": "1", "hi": "3", "coeff": "1"},
+            {"lo": "1", "hi": "3", "coeff": "-1"},
+        ]
+        pair = {"left": {"lo": "1", "hi": "1"}, "right": {"lo": "1", "hi": "3"}, "value": value}
+        bracket = write(tmp_path, "bracket.json", {"pairs": [pair]})
+        argv = ["verify", "--poset", crown_file, "--bracket", bracket]
+        assert self.run(argv, capsys) == 2
+
+
+# -- fuzzing: mutated poset, sigma and bracket files ----------------------------
+
+FUZZ_VALUES = [None, 0, 3, -1, 2.5, True, "", "zz", "1/0", "x", [], {}, ["1", "3"], {"lo": "1"}]
+
+
+def _positions(holder):
+    """(container, key) for every value inside holder, holder's own included."""
+    stack = [holder]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield node, key
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+
+
+@st.composite
+def mutated(draw, document):
+    """document after one to three mutations: a key or list item dropped, a
+    value swapped for one of another type, a list entry duplicated, or a
+    string replaced by a label the poset does not have."""
+    holder = [copy.deepcopy(document)]
+    for _ in range(draw(st.integers(1, 3))):
+        node, key = draw(st.sampled_from(list(_positions(holder))))
+        op = draw(st.sampled_from(["drop", "swap", "duplicate", "unknown"]))
+        value = node[key]
+        if op == "drop" and node is not holder:
+            del node[key]
+        elif op == "duplicate" and isinstance(value, list) and value:
+            value.append(copy.deepcopy(draw(st.sampled_from(value))))
+        elif op == "unknown" and isinstance(value, str):
+            node[key] = "zz"
+        else:
+            node[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    return holder[0]
+
+
+def _fuzz_documents():
+    sigma = crown_sigma_json()
+    bracket = from_sigma(SigmaMap.from_json(CROWN, RATIONALS, sigma)).to_json()
+    return {"poset": CROWN.to_json(), "sigma": sigma, "bracket": bracket}
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
+FUZZ_COMMANDS = {
+    "poset": [["poset-info"], ["components"], ["classify"]],
+    "sigma": [["from-sigma"]],
+    "bracket": [
+        ["verify"],
+        ["extract-sigma"],
+        ["is-standard"],
+        ["lemma-suite", "--samples", "1"],
+    ],
+}
+
+
+class TestFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_mutated_input_never_escapes(self, data):
+        kind = data.draw(st.sampled_from(sorted(FUZZ_DOCUMENTS)))
+        documents = dict(FUZZ_DOCUMENTS)
+        documents[kind] = data.draw(mutated(FUZZ_DOCUMENTS[kind]))
+        command = data.draw(st.sampled_from(FUZZ_COMMANDS[kind]))
+        with tempfile.TemporaryDirectory() as workdir:
+            paths = {}
+            for name, document in documents.items():
+                paths[name] = os.path.join(workdir, f"{name}.json")
+                with open(paths[name], "w", encoding="utf-8") as handle:
+                    json.dump(document, handle)
+            argv = [command[0], "--poset", paths["poset"], *command[1:]]
+            if kind != "poset":
+                argv += [f"--{kind}", paths[kind]]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().count("\n") == 1

@@ -1,14 +1,16 @@
-"""Coefficient rings: canonical forms, ring axioms, parsing.
+"""Coefficient rings: canonical forms, ring axioms, parsing, and the kernel.
 
 Ring laws are property-tested over Q and Z/m; field detection for Z/m is
-cross-checked against an independent primality oracle.
+cross-checked against an independent primality oracle.  The raw-value
+kernel (inv, axpy, Echelon) is checked against dense arithmetic, sympy's
+rank and rref over Q, and a dense textbook rref over Z/5.
 """
 
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from poisset import (
     INTEGERS,
@@ -19,6 +21,7 @@ from poisset import (
     integers_mod,
     parse_scalar,
 )
+from poisset.coeff import Echelon
 from poisset.errors import (
     NotInvertible,
     RingMismatch,
@@ -267,3 +270,144 @@ class TestScalarMisc:
     def test_scalar_requires_scalar_operand(self):
         with pytest.raises(TypeError):
             RATIONALS.one + 1
+
+
+# -- the raw-value kernel: inv, axpy and Echelon --------------------------------
+
+
+def rref_mod(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Reduced row echelon form over Z/p by the dense textbook algorithm;
+    returns the nonzero rows, top to bottom."""
+    m = [[v % p for v in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
+    return m[:r]
+
+
+def rref_q(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Nonzero rows of sympy's reduced row echelon form, as Fractions."""
+    if not rows:
+        return []
+    reduced, pivots = sympy.Matrix(rows).rref()
+    return [
+        [Fraction(int(v.p), int(v.q)) for v in reduced.row(i)]
+        for i in range(len(pivots))
+    ]
+
+
+def dense(row: dict, ncols: int) -> list:
+    return [row.get(c, 0) for c in range(ncols)]
+
+
+KERNEL_RINGS = [RATIONALS, integers_mod(5)]
+
+
+@st.composite
+def sparse_matrices(draw, ring):
+    """(ncols, rows): up to 7 sparse rows over ring, zeros never stored."""
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    if ring.kind == "Q":
+        values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        values = st.integers(min_value=0, max_value=ring.modulus - 1)
+    rows = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), values, max_size=ncols),
+            max_size=7,
+        )
+    )
+    return ncols, [{c: v for c, v in row.items() if v} for row in rows]
+
+
+def reference_rref(ring, rows, ncols):
+    matrix = [dense(row, ncols) for row in rows]
+    if ring.kind == "Q":
+        return rref_q(matrix, ncols)
+    return rref_mod(matrix, ring.modulus)
+
+
+def echelon_of(ring, rows):
+    echelon = Echelon(ring)
+    raised = sum(echelon.absorb(dict(row)) for row in rows)
+    assert raised == echelon.rank
+    return echelon
+
+
+class TestKernel:
+    def test_inv_rejects_non_units(self):
+        with pytest.raises(NotInvertible):
+            RATIONALS.inv(0)
+        with pytest.raises(NotInvertible):
+            INTEGERS.inv(2)
+        with pytest.raises(NotInvertible):
+            integers_mod(4).inv(2)
+
+    def test_inv_keeps_rational_units_integral(self):
+        assert type(RATIONALS.inv(1)) is int and RATIONALS.inv(-1) == -1
+        assert RATIONALS.inv(2) == Fraction(1, 2)
+        assert RATIONALS.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+        assert INTEGERS.inv(-1) == -1
+        assert integers_mod(5).inv(2) == 3
+
+    @pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, integers_mod(4), integers_mod(5)], ids=str)
+    @given(data=st.data())
+    def test_axpy_matches_dense_addition(self, ring, data):
+        if ring.kind == "Q":
+            values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        else:
+            values = st.integers(min_value=-6, max_value=6).map(ring.reduce)
+        vectors = st.dictionaries(st.integers(0, 5), values, max_size=6)
+        acc = {k: v for k, v in data.draw(vectors).items() if v}
+        x = data.draw(vectors)
+        a = data.draw(values)
+        want = [ring.reduce(p + a * q) for p, q in zip(dense(acc, 6), dense(x, 6))]
+        ring.axpy(acc, x, a)
+        assert dense(acc, 6) == want
+        assert all(acc.values())
+
+    # sympy is slow on rational matrices: 50 of them per ring
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_echelon_matches_reference(self, ring, data):
+        ncols, rows = data.draw(sparse_matrices(ring))
+        want = reference_rref(ring, rows, ncols)
+        echelon = echelon_of(ring, rows)
+        assert echelon.rank == len(want)
+        for pivot, row in echelon.rows.items():
+            assert min(row) == pivot and row[pivot] == 1 and all(row.values())
+        echelon.back_substitute()
+        got = [dense(echelon.rows[p], ncols) for p in sorted(echelon.rows)]
+        assert got == want
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_residue_is_empty_iff_in_row_space(self, ring, data):
+        ncols, rows = data.draw(sparse_matrices(ring))
+        echelon = echelon_of(ring, rows)
+        _, (probe, *_) = data.draw(sparse_matrices(ring).filter(lambda m: m[1]))
+        probe = {c: v for c, v in probe.items() if c < ncols}
+        # a combination of the rows lies in the span by construction
+        combo: dict = {}
+        for row in rows:
+            ring.axpy(combo, row, data.draw(st.integers(-2, 2)))
+        for vector in (probe, combo):
+            rank = len(reference_rref(ring, rows + [vector], ncols))
+            before = dict(vector)
+            residue = echelon.residue(vector)
+            assert vector == before
+            assert (not residue) == (rank == echelon.rank)
+            assert all(residue.values())
+        assert not echelon.residue(combo)
