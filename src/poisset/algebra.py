@@ -34,6 +34,8 @@ class IncidenceElement:
         self.ring = ring
         clean: dict[Interval, Scalar] = {}
         for iv, c in coeffs.items():
+            if not poset.is_interval(*iv):
+                raise InvalidPair(f"{tuple(iv)!r} is not an interval of the poset")
             if c.ring != ring:
                 raise RingMismatch(f"coefficient at {iv} lives in {c.ring}, not {ring}")
             if not c.is_zero():

@@ -66,6 +66,14 @@ class TestConstruction:
         with pytest.raises(NotComparable):
             IncidenceElement.basis(make_crown(), RATIONALS, "1", "2")
 
+    def test_keys_must_be_intervals(self):
+        one = RATIONALS.one
+        for key in [Interval("3", "1"), Interval("1", "x"), ("1", "x")]:
+            with pytest.raises(InvalidPair):
+                IncidenceElement(CHAIN3, RATIONALS, {key: one, Interval("1", "2"): one})
+        with pytest.raises(InvalidPair):
+            IncidenceElement(make_crown(), RATIONALS, {Interval("1", "2"): one})
+
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatch):
             IncidenceElement(

@@ -9,13 +9,17 @@ B(f, g)(x, y) = sigma(x, y) [f, g](x, y).
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_bracket
 from conftest import (
+    CORPUS,
     antichain,
     corpus_params,
     crown_plus_chain3,
     diamond,
     fence3,
+    posets,
     random_sigma,
 )
 from poisset import (
@@ -688,3 +692,96 @@ class TestRestrictionLocality:
                         f.restrict(lo, hi), g.restrict(lo, hi)
                     )
                     assert restricted.coeff(lo, hi) == expected
+
+
+# -- the output-sensitive verifiers against the exhaustive ones ----------------
+
+CHECKS = [
+    (check_antisymmetric, reference_bracket.check_antisymmetric),
+    (check_biderivation, reference_bracket.check_biderivation),
+    (check_jacobi, reference_bracket.check_jacobi),
+]
+RINGS = [Q, integers_mod(5)]
+
+
+def assert_same_reports(bracket):
+    """Each verifier reports exactly what the exhaustive reference does:
+    the same failures in the same order and the same pass counts."""
+    for check, reference in CHECKS:
+        got, want = check(bracket), reference(bracket)
+        assert got.to_json() == want.to_json(), check.__name__
+        assert got.pass_counts == want.pass_counts, check.__name__
+
+
+@st.composite
+def raw_tables(draw):
+    """A sparse raw table: any ordered pairs, diagonal ones included, no
+    mirror implied, values of one to three terms."""
+    poset = draw(posets(max_size=5))
+    ring = draw(st.sampled_from(RINGS))
+    ivs = poset.intervals()
+    index = st.integers(0, len(ivs) - 1)
+    table = {}
+    for i, j, terms in draw(
+        st.lists(
+            st.tuples(
+                index,
+                index,
+                st.lists(st.tuples(index, st.integers(-3, 3)), min_size=1, max_size=3),
+            ),
+            max_size=8,
+        )
+    ):
+        coeffs = {ivs[k]: ring.scalar(c) for k, c in terms}
+        table[(ivs[i], ivs[j])] = IncidenceElement(poset, ring, coeffs)
+    return Bracket.from_basis_table(poset, ring, table, antisymmetric=False)
+
+
+@st.composite
+def corrupted_sigma_tables(draw):
+    """from_sigma of a random chain-constant sigma with one coefficient of
+    one stored value changed: in antisymmetric storage, or in a raw table
+    of both orientations, where only one of them changes."""
+    poset = draw(posets(max_size=5))
+    ring = draw(st.sampled_from(RINGS))
+    bracket = from_sigma(random_sigma(poset, ring, random.Random(draw(st.integers(0, 999)))))
+    table = dict(bracket._table)
+    antisymmetric = draw(st.booleans())
+    if not antisymmetric:
+        table.update({(j, i): -v for (i, j), v in bracket._table.items()})
+    if table:
+        pair = draw(st.sampled_from(list(table)))
+        target = draw(st.sampled_from(poset.intervals()))
+        table[pair] = table[pair] + el(poset, {target: draw(st.integers(1, 4))}, ring)
+    return Bracket.from_basis_table(poset, ring, table, antisymmetric=antisymmetric)
+
+
+class TestAgainstReference:
+    @settings(deadline=None, max_examples=150)
+    @given(bracket=raw_tables())
+    def test_random_raw_tables(self, bracket):
+        assert_same_reports(bracket)
+
+    @settings(deadline=None, max_examples=150)
+    @given(bracket=corrupted_sigma_tables())
+    def test_corrupted_sigma_tables(self, bracket):
+        assert_same_reports(bracket)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["Q", "Z5"])
+    @pytest.mark.parametrize("name,poset", CORPUS, ids=[name for name, _ in CORPUS])
+    def test_sigma_tables_on_the_corpus(self, name, poset, ring):
+        assert_same_reports(from_sigma(random_sigma(poset, ring, random.Random(7))))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["Q", "Z5"])
+    def test_every_triple_failing(self, ring):
+        # one element, B(e11, e11) = e11: no instance passes, so no check
+        # gets a pass count
+        chain1 = make_chain(1)
+        bad = Bracket.from_basis_table(
+            chain1, ring, {(("1", "1"), ("1", "1")): el(chain1, {("1", "1"): 1}, ring)},
+            antisymmetric=False,
+        )
+        assert_same_reports(bad)
+        for check, _ in CHECKS:
+            report = check(bad)
+            assert report.failures and not report.pass_counts

@@ -439,6 +439,13 @@ class TestMalformedTables:
         argv = ["from-sigma", "--poset", crown_file, "--sigma", sigma]
         assert self.run(argv, capsys) == 2
 
+    def test_bracket_value_key_not_an_interval(self, crown_file, tmp_path, capsys):
+        value = [{"lo": "3", "hi": "1", "coeff": "1"}]
+        pair = {"left": {"lo": "1", "hi": "1"}, "right": {"lo": "1", "hi": "3"}, "value": value}
+        bracket = write(tmp_path, "bracket.json", {"pairs": [pair]})
+        argv = ["verify", "--poset", crown_file, "--bracket", bracket]
+        assert self.run(argv, capsys) == 2
+
     def test_cancelling_duplicate_bracket_entries(self, crown_file, tmp_path, capsys):
         # 1 and -1 at (1, 3) once summed to a zero table that passed
         value = [
