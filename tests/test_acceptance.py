@@ -24,6 +24,9 @@ Run with -v to get one pass/fail line per criterion:
     atoms, < 5 s each; `poisset components` on the 300-chain gives one class
   * the Leibniz and Jacobi checks of a dense-sigma 20-chain bracket
     (9,261,000 basis triples) pass, < 6 s each
+  * classification of the boolean lattice on 4 atoms over Q (262,440
+    unknowns), < 10 s, and of the 12-chain over Z/7 (234,234 unknowns),
+    < 15 s: dimension 1, matching the one chain component
 """
 
 import json
@@ -274,3 +277,20 @@ def test_verifiers_on_dense_chain20(dense_chain20, check, names):
     assert report.ok
     for name in names:
         assert report.pass_counts[name] == 210**3 == 9_261_000
+
+
+@pytest.mark.parametrize(
+    "build,ring,bound",
+    [
+        (lambda: boolean_lattice(4), Q, 10.0),
+        (lambda: make_chain(12), integers_mod(7), 15.0),
+    ],
+    ids=["bool4-Q", "chain12-Z7"],
+)
+def test_classify_scale(build, ring, bound):
+    poset = build()
+    started = time.perf_counter()
+    report = classify(poset, ring)
+    assert time.perf_counter() - started < bound
+    assert report.dimension == 1
+    assert report.match

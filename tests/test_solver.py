@@ -92,6 +92,12 @@ def assert_same_solution_space(poset, ring):
     reference = reference_build_system(poset, ring)
     assert system.num_unknowns == reference.num_unknowns
     assert system.rank == reference.rank
+    # settled: the unit rows of the fixed columns and the stored rows are
+    # independent, and no stored row is a single entry
+    assert system.rank == len(system.fixed) + len(system.rows)
+    for row in system.rows.values():
+        assert len(row) > 1
+        assert system.fixed.isdisjoint(row)
     basis = nullspace(system)
     expected = reference_nullspace(reference)
     assert basis.free_columns == expected.free_columns
@@ -103,7 +109,11 @@ class TestAgainstReference:
     and keeps its rows fully reduced.  Reduced row echelon form is unique,
     so the two must agree column for column."""
 
-    @pytest.mark.parametrize("ring", [Q, integers_mod(3)], ids=["Q", "Z3"])
+    # Z/2 is the one field where -1 = 1, so the signs that antisymmetry
+    # puts on the unknowns drop out
+    @pytest.mark.parametrize(
+        "ring", [Q, integers_mod(3), integers_mod(2)], ids=["Q", "Z3", "Z2"]
+    )
     @pytest.mark.parametrize(
         "name,poset", CORPUS, ids=[name for name, _ in CORPUS]
     )
@@ -113,7 +123,7 @@ class TestAgainstReference:
     @settings(deadline=None)
     @given(p=posets(max_size=5))
     def test_random_posets(self, p):
-        for ring in (Q, integers_mod(3)):
+        for ring in (Q, integers_mod(3), integers_mod(2)):
             assert_same_solution_space(p, ring)
 
     def test_one_identity_streams_half_the_rows(self):
@@ -134,6 +144,39 @@ class TestAgainstReference:
         nullspace(system)
         values = [v for row in system.rows.values() for v in row.values()]
         assert all(type(v) is int for v in values)
+
+
+class TestPresolve:
+    """Single-entry rows fix their column at zero and are never stored."""
+
+    @pytest.mark.parametrize(
+        "poset,ring,counts",
+        [
+            (make_chain(8), Q, (22_680, 390_292, 22_679)),
+            (make_crown(), integers_mod(2), (224, 1_460, 220)),
+        ],
+        ids=["chain8-Q", "crown-Z2"],
+    )
+    def test_counts(self, poset, ring, counts):
+        # unknowns, streamed rows and rank of the solver without presolve
+        system = build_system(poset, ring)
+        assert (system.num_unknowns, system.rows_streamed, system.rank) == counts
+
+    def test_only_rows_with_two_live_entries_are_absorbed(self, monkeypatch):
+        absorbed = []
+        absorb = LinearSystem.absorb
+
+        def spy(system, row):
+            assert len(row) > 1
+            assert system.fixed.isdisjoint(row)
+            absorbed.append(len(row))
+            return absorb(system, row)
+
+        monkeypatch.setattr(LinearSystem, "absorb", spy)
+        for ring in (Q, integers_mod(2)):
+            system = build_system(crown_plus_chain3(), ring)
+            assert 0 < len(absorbed) < system.rows_streamed
+            absorbed.clear()
 
 
 class TestDimensions:
@@ -180,6 +223,12 @@ class TestSolutionVectors:
                 sigma = random_sigma(poset, Q, rng)
                 vec = _bracket_to_vector(system, from_sigma(sigma))
                 assert system.satisfied_by(vec)
+
+    def test_vector_on_a_fixed_column_is_rejected(self):
+        system = build_system(make_crown(), Q)
+        for col in sorted(system.fixed)[:20]:
+            assert not system.satisfied_by({col: Fraction(1)})
+            assert system.satisfied_by({col: Fraction(0)})
 
     def test_leibniz_violating_vector_is_rejected(self):
         # B(e11, e12) = e11 on chain-2: not a biderivation
