@@ -149,9 +149,10 @@ class IncidenceElement:
 
     def sandwich(self, lo: str, hi: str) -> "IncidenceElement":
         """e_x f e_y, which is f(x, y) e_xy when x <= y and zero otherwise."""
-        left = IncidenceElement.basis(self.poset, self.ring, lo, lo)
-        right = IncidenceElement.basis(self.poset, self.ring, hi, hi)
-        return left * self * right
+        if lo not in self.poset or hi not in self.poset:
+            raise UnknownLabel(f"{lo!r} or {hi!r} is not an element of the poset")
+        c = self.coeffs.get(Interval(lo, hi))
+        return self._wrap({} if c is None else {Interval(lo, hi): c.value})
 
     def restrict(self, lo: str, hi: str) -> "IncidenceElement":
         """The part of f supported on pairs touching the interval [lo, hi]:

@@ -165,16 +165,6 @@ def is_chain_constant(sigma: SigmaMap) -> bool:
     return sigma.is_chain_constant()
 
 
-def _basis_products(poset: Poset) -> dict[tuple[Interval, Interval], Interval]:
-    """e_i e_j for all basis pairs with nonzero product."""
-    out = {}
-    for i in poset.intervals():
-        for j in poset.intervals():
-            if i.hi == j.lo:
-                out[(i, j)] = Interval(i.lo, j.hi)
-    return out
-
-
 def _mul_right(coeffs: dict, b: Interval) -> dict:
     """coeffs * e_b at the coefficient level."""
     u, v = b
@@ -318,20 +308,23 @@ class Bracket:
 
     # -- equality ------------------------------------------------------------
 
+    def _key(self) -> tuple:
+        """Poset, ring and every nonzero B(e_i, e_j) in both orientations,
+        so raw and antisymmetric storage of one bracket give one key."""
+        values = frozenset(
+            (pair, frozenset(coeffs.items()))
+            for pair, coeffs in self._full_coeffs().items()
+            if coeffs
+        )
+        return self.poset, self.ring, values
+
     def __eq__(self, other):
         if not isinstance(other, Bracket):
             return NotImplemented
-        if self.poset != other.poset or self.ring != other.ring:
-            return False
-        if self.antisymmetric_mode and other.antisymmetric_mode:
-            return self._table == other._table
-        ivs = self.poset.intervals()
-        return all(
-            self.value(i, j) == other.value(i, j) for i in ivs for j in ivs
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.poset, self.ring, frozenset(self._table.items())))
+        return hash(self._key())
 
     def __repr__(self):
         mode = "antisymmetric" if self.antisymmetric_mode else "raw"
@@ -390,12 +383,13 @@ def check_antisymmetric(bracket: Bracket) -> CheckReport:
     """
     report = CheckReport("antisymmetry")
     ivs = bracket.poset.intervals()
-    rank = {iv: r for r, iv in enumerate(ivs)}
+    # ranks alone: the product table would cost O(products), this check O(stored)
+    rank = bracket.poset.interval_index
     full = bracket._full_coeffs()
     empty: dict = {}
-    diagonal = sorted(rank[i] for (i, j), v in full.items() if i == j and v)
+    diagonal = sorted(rank(i) for (i, j), v in full.items() if i == j and v)
     pairs = sorted(
-        {tuple(sorted((rank[i], rank[j]))) for i, j in full if i != j}
+        {tuple(sorted((rank(i), rank(j)))) for i, j in full if i != j}
     )
     for r in diagonal:
         report.fail("antisymmetry", {"left": list(ivs[r]), "right": list(ivs[r])})
@@ -438,7 +432,8 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
     """
     report = CheckReport("biderivation")
     ivs = bracket.poset.intervals()
-    rank = {iv: r for r, iv in enumerate(ivs)}
+    basis = bracket.poset.basis_products()
+    rank, starting = basis.rank, basis.starting
     full = bracket._full_coeffs()
     axpy = bracket.ring.axpy
     empty: dict = {}
@@ -462,9 +457,6 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
         for x, z in coeffs:
             up.setdefault(z, set()).add(rc)
             low.setdefault(x, set()).add(rc)
-    starting: dict[str, list[int]] = {}
-    for r, c in enumerate(ivs):
-        starting.setdefault(c.lo, []).append(r)
 
     for a in ivs:
         up_a = upper.get(a, empty)
@@ -479,7 +471,7 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
             if ab is not None:
                 candidates.update(row.get(ab, ()))
             for _, z in f_ab:
-                candidates.update(starting.get(z, ()))
+                candidates.update(starting[z])
             for hi in tops_a.get(b.lo, ()):
                 rc = rank.get(Interval(b.hi, hi))
                 if rc is not None:
@@ -536,7 +528,7 @@ def check_jacobi(bracket: Bracket) -> CheckReport:
     """
     report = CheckReport("jacobi")
     ivs = bracket.poset.intervals()
-    rank = {iv: r for r, iv in enumerate(ivs)}
+    rank = bracket.poset.basis_products().rank
     full = bracket._full_coeffs()
     axpy = bracket.ring.axpy
     empty: dict = {}
@@ -597,32 +589,31 @@ def _require_biderivation(bracket: Bracket):
 # -- classification ----------------------------------------------------------
 
 
+def _commutators(poset: Poset) -> list[tuple[int, int, int, int]]:
+    """(a, b, t, sign) with [e_a, e_b] = sign e_t, on interval ranks, for
+    every ordered pair a != b with a nonzero commutator, in canonical order.
+    At most one of e_a e_b and e_b e_a survives (both would force a = b)."""
+    out = []
+    for (a, b), t in poset.basis_products().product.items():
+        if a != b:
+            out += ((a, b, t, 1), (b, a, t, -1))
+    out.sort()
+    return out
+
+
 def from_sigma(sigma: SigmaMap) -> Bracket:
     """The bracket B(f, g)(x, y) = sigma(x, y) [f, g](x, y), zero on loops."""
     if not sigma.is_chain_constant():
         raise NotChainConstant("sigma takes two values on one chain component")
     P, R = sigma.poset, sigma.ring
     ivs = P.intervals()
-    prod = _basis_products(P)
     table: dict[tuple[Interval, Interval], IncidenceElement] = {}
-    for a in range(len(ivs)):
-        for b in range(a + 1, len(ivs)):
-            i, j = ivs[a], ivs[b]
-            # [e_i, e_j] is e_forward - e_backward where at most one of the
-            # two products survives (both would force i = j)
-            coeffs: dict[Interval, Scalar] = {}
-            forward = prod.get((i, j))
-            if forward is not None:
-                weight = sigma.values[StrictPair(*forward)]
-                if not weight.is_zero():
-                    coeffs[forward] = weight
-            backward = prod.get((j, i))
-            if backward is not None:
-                weight = sigma.values[StrictPair(*backward)]
-                if not weight.is_zero():
-                    coeffs[backward] = -weight
-            if coeffs:
-                table[(i, j)] = IncidenceElement(P, R, coeffs)
+    for a, b, t, sign in _commutators(P):
+        if a < b:
+            weight = sigma.values[StrictPair(*ivs[t])]
+            if not weight.is_zero():
+                coeff = weight if sign > 0 else -weight
+                table[(ivs[a], ivs[b])] = IncidenceElement(P, R, {ivs[t]: coeff})
     return Bracket(P, R, table, antisymmetric_mode=True)
 
 
@@ -653,33 +644,16 @@ def extract_lambda(
     """
     if check:
         _require_biderivation(bracket)
-    P = bracket.poset
+    P, one = bracket.poset, bracket.ring.one
     ivs = P.intervals()
-    prod = _basis_products(P)
     out: dict[tuple[Interval, Interval], Scalar] = {}
-    for i in ivs:
-        for j in ivs:
-            if i == j:
-                continue
-            com: dict[Interval, Scalar] = {}
-            forward = prod.get((i, j))
-            if forward is not None:
-                com[forward] = bracket.ring.one
-            backward = prod.get((j, i))
-            if backward is not None:
-                com[backward] = -bracket.ring.one
-            if not com:
-                continue
-            # a commutator of two distinct basis elements is a single
-            # signed basis element, so the ratio needs no division
-            (target, unit), = com.items()
-            value = bracket.value(i, j)
-            extra = [iv for iv in value.coeffs if iv != target]
-            if extra:
-                raise NotProportional(
-                    f"B(e_{i}, e_{j}) has support outside [e_{i}, e_{j}]"
-                )
-            out[(i, j)] = value.coeff(*target) * unit
+    for a, b, t, sign in _commutators(P):
+        # [e_i, e_j] = +-e_target, so the ratio needs no division
+        i, j, target = ivs[a], ivs[b], ivs[t]
+        value = bracket.value(i, j)
+        if any(iv != target for iv in value.coeffs):
+            raise NotProportional(f"B(e_{i}, e_{j}) has support outside [e_{i}, e_{j}]")
+        out[(i, j)] = value.coeff(*target) * (one if sign > 0 else -one)
     return out
 
 
@@ -747,7 +721,7 @@ def verify_piecewise_witness(
         _require_biderivation(bracket)
     report = CheckReport("piecewise")
     P, R = bracket.poset, bracket.ring
-    index = {iv: k for k, iv in enumerate(P.intervals())}
+    index = P.basis_products().rank
     bases = [_span(R, (_coords(g, index) for g in gens)) for gens in witness.ideals]
 
     for pos, (gens, basis) in enumerate(zip(witness.ideals, bases)):

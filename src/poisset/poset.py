@@ -62,6 +62,24 @@ class PairPartition:
         return f"PairPartition({list(map(list, self.classes))})"
 
 
+class BasisProducts(NamedTuple):
+    """The multiplication table of the basis e_xy, on interval ranks.
+
+    e_xy e_yz = e_xz, and every other product of basis elements is zero.
+    product[(a, b)] = t when e_a e_b = e_t, keyed in canonical order;
+    right[b] lists the (t, k) with e_k e_b = e_t and left[a] the (t, k)
+    with e_a e_k = e_t, by ascending k; starting[x] holds the ascending
+    ranks of the intervals [x, y]; rank maps each interval to its rank.
+    One table is shared by every caller, so none may mutate it.
+    """
+
+    product: dict[tuple[int, int], int]
+    right: tuple[tuple[tuple[int, int], ...], ...]
+    left: tuple[tuple[tuple[int, int], ...], ...]
+    starting: dict[str, tuple[int, ...]]
+    rank: dict[Interval, int]
+
+
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -191,6 +209,7 @@ class Poset:
             intervals += map(tuple.__new__, repeat(Interval), zip(repeat(elements[i]), tops))
         self._intervals = tuple(intervals)
         self._interval_index = dict(zip(intervals, range(len(intervals))))
+        self._products: BasisProducts | None = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -231,6 +250,32 @@ class Poset:
 
     def interval_index(self, iv: Interval) -> int:
         return self._interval_index[iv]
+
+    def basis_products(self) -> BasisProducts:
+        """The basis multiplication table, built on first use and cached.
+
+        Each a = [lo, mid] meets exactly the b in starting[mid], so the
+        build is O(number of nonzero products), not O(intervals^2).
+        """
+        if self._products is None:
+            intervals, rank = self._intervals, self._interval_index
+            starting: dict[str, list[int]] = {x: [] for x in self._elements}
+            for r, (lo, _) in enumerate(intervals):
+                starting[lo].append(r)
+            product: dict[tuple[int, int], int] = {}
+            right: list[list] = [[] for _ in intervals]
+            left: list[list] = [[] for _ in intervals]
+            for a, (lo, mid) in enumerate(intervals):
+                for b in starting[mid]:
+                    # a plain tuple finds its Interval key: equal, same hash
+                    product[a, b] = t = rank[lo, intervals[b].hi]
+                    left[a].append((t, b))
+                    right[b].append((t, a))
+            frozen = {x: tuple(ranks) for x, ranks in starting.items()}
+            self._products = BasisProducts(
+                product, tuple(map(tuple, right)), tuple(map(tuple, left)), frozen, rank
+            )
+        return self._products
 
     def is_interval(self, lo: str, hi: str) -> bool:
         return lo in self._index and hi in self._index and self.leq(lo, hi)

@@ -63,7 +63,7 @@ class LinearSystem(Echelon):
         self.poset = poset
         intervals = poset.intervals()
         self.intervals = intervals
-        self.interval_rank = {iv: k for k, iv in enumerate(intervals)}
+        self.interval_rank = poset.basis_products().rank
         self.pairs = [
             (intervals[a], intervals[b])
             for a in range(len(intervals))
@@ -152,7 +152,6 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     """
     system = LinearSystem(poset, field)
     intervals = system.intervals
-    index = system.interval_rank
     n = len(intervals)
     axpy, take, fixed = field.axpy, system.take, system.fixed
     fix, fix_all = fixed.add, fixed.update
@@ -163,34 +162,13 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
         [None if i == j else system.column(i, j, intervals[0]) for j in intervals]
         for i in intervals
     ]
-    product = [
-        [index[Interval(a.lo, b.hi)] if a.hi == b.lo else None for b in intervals]
-        for a in intervals
-    ]
-    # (target, k): f e_b moves f's coefficient at k = [x, b.lo] to [x, b.hi],
-    # and e_a f moves f's coefficient at k = [a.hi, y] to [a.lo, y]
-    elements = poset.elements
-    right = [
-        [
-            (index[Interval(x, b.hi)], index[Interval(x, b.lo)])
-            for x in elements
-            if poset.leq(x, b.lo)
-        ]
-        for b in intervals
-    ]
-    left = [
-        [
-            (index[Interval(a.lo, y)], index[Interval(a.hi, y)])
-            for y in elements
-            if poset.leq(a.hi, y)
-        ]
-        for a in intervals
-    ]
+    basis = poset.basis_products()
+    product, right, left = basis.product, basis.right, basis.left
 
     streamed = 0
     for a in range(n):
         for b in range(n):
-            ab = product[a][b]
+            ab = product.get((a, b))
             # target -> [k in B(a, c) e_b, k in e_a B(b, c)], None if unreached;
             # B(ab, c) reaches every target t from t itself, so the targets
             # that no move reaches give the rows +-x = 0

@@ -5,7 +5,9 @@ counts a pass one instance at a time.  That follows the definitions
 directly and is slow on large posets; `tests/test_bracket.py` checks that
 the output-sensitive verifiers return the same report, failures in the
 same order.  The product helpers are copied here so that the reference
-shares no enumeration code with the module it checks.
+shares no enumeration code with the module it checks; `_basis_products`,
+the n^2 scan over all interval pairs, is also the reference that
+`tests/test_poset.py` checks `Poset.basis_products` against.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ element, the transitive reduction by checking every strict pair against
 every element above its bottom, and the chain components by comparing
 every two strict pairs (O(pairs^2)).  It follows the definitions
 directly and is far too slow for large posets; `tests/test_poset.py`
-checks `poisset.Poset` against it on generated posets.
+checks `poisset.Poset` against it on generated posets.  `basis_moves`
+keeps the order-based right and left lists of the basis multiplication
+table, which the solver once built for itself on every call.
 """
 
 from __future__ import annotations
@@ -151,3 +153,29 @@ class ReferencePoset:
         for k, pair in enumerate(pairs):
             groups.setdefault(uf.find(k), []).append(pair)
         return tuple(tuple(members) for _, members in sorted(groups.items()))
+
+
+def basis_moves(poset):
+    """right[b] lists (rank [x, b.hi], rank [x, b.lo]) for every x <= b.lo,
+    so e_k e_b = e_t for each (t, k); left[a] lists (rank [a.lo, y],
+    rank [a.hi, y]) for every y >= a.hi, so e_a e_k = e_t.  Both walk the
+    elements in order and test each with leq."""
+    intervals = poset.intervals()
+    index = {iv: k for k, iv in enumerate(intervals)}
+    right = [
+        [
+            (index[Interval(x, b.hi)], index[Interval(x, b.lo)])
+            for x in poset.elements
+            if poset.leq(x, b.lo)
+        ]
+        for b in intervals
+    ]
+    left = [
+        [
+            (index[Interval(a.lo, y)], index[Interval(a.hi, y)])
+            for y in poset.elements
+            if poset.leq(a.hi, y)
+        ]
+        for a in intervals
+    ]
+    return right, left

@@ -200,15 +200,27 @@ class TestSandwichAndRestriction:
         assert f.sandwich("2", "2").is_zero()
         assert f.sandwich("3", "1").is_zero()
 
-    @given(f=elements(DIAMOND))
-    def test_sandwich_identity(self, f):
-        for lo, hi in DIAMOND.intervals():
-            expected = IncidenceElement(
-                DIAMOND,
-                RATIONALS,
-                {Interval(lo, hi): f.coeff(lo, hi)},
-            )
-            assert f.sandwich(lo, hi) == expected
+    @given(data=st.data())
+    def test_sandwich_identity(self, data):
+        # every label pair against the definition e_x f e_y, incomparable
+        # and reversed pairs included
+        for poset in (DIAMOND, make_crown()):
+            f = data.draw(elements(poset))
+            for x in poset.elements:
+                for y in poset.elements:
+                    e_x = IncidenceElement.basis(poset, RATIONALS, x, x)
+                    e_y = IncidenceElement.basis(poset, RATIONALS, y, y)
+                    assert f.sandwich(x, y) == e_x * f * e_y
+            for lo, hi in poset.intervals():
+                expected = IncidenceElement(
+                    poset,
+                    RATIONALS,
+                    {Interval(lo, hi): f.coeff(lo, hi)},
+                )
+                assert f.sandwich(lo, hi) == expected
+            for lo, hi in (("z", "1"), ("1", "z")):
+                with pytest.raises(UnknownLabel):
+                    f.sandwich(lo, hi)
 
     def test_restriction_keeps_the_corner_shape(self):
         chain4 = make_chain(4)

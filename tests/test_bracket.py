@@ -248,6 +248,14 @@ class TestBracketTable:
         assert raw == antisym
         assert antisym == raw
 
+    @pytest.mark.parametrize("ring", [Q, integers_mod(5)], ids=["Q", "Z5"])
+    def test_raw_reload_hashes_like_its_source(self, ring):
+        bracket = from_sigma(crown_sigma(1, 2, 3, 4, ring))
+        raw = Bracket.from_json(CROWN, ring, bracket.to_json(), antisymmetric=False)
+        assert bracket == raw
+        assert hash(bracket) == hash(raw)
+        assert len({bracket, raw}) == 1
+
 
 class TestBracketSerialization:
     def test_antisymmetric_json_carries_both_orientations(self):

@@ -19,7 +19,8 @@ from conftest import (
     fence3,
     posets,
 )
-from reference_poset import ReferencePoset
+import reference_bracket
+from reference_poset import ReferencePoset, basis_moves
 from poisset import Interval, Poset, StrictPair, from_covers, make_chain, make_crown
 from poisset.errors import (
     CycleDetected,
@@ -410,3 +411,57 @@ class TestAgainstReference:
     )
     def test_named(self, p):
         assert_matches_reference(p.elements, p.covers)
+
+
+def assert_basis_products_match_reference(p: Poset):
+    """Poset.basis_products against the n^2 scan of reference_bracket and
+    the leq-based moves of reference_poset, every field in order."""
+    ref = ReferencePoset(p.elements, p.covers)
+    intervals = ref.intervals()
+    rank = {iv: k for k, iv in enumerate(intervals)}
+    table = p.basis_products()
+    product = {
+        (rank[i], rank[j]): rank[t]
+        for (i, j), t in reference_bracket._basis_products(ref).items()
+    }
+    assert list(table.product.items()) == list(product.items())
+    right, left = basis_moves(ref)
+    assert table.right == tuple(map(tuple, right))
+    assert table.left == tuple(map(tuple, left))
+    starting = {
+        x: tuple(r for r, iv in enumerate(intervals) if iv.lo == x)
+        for x in ref.elements
+    }
+    assert list(table.starting.items()) == list(starting.items())
+    assert table.rank == rank
+    assert table.rank is p._interval_index
+    assert p.basis_products() is table
+
+
+class TestBasisProducts:
+    @given(p=posets(max_size=7))
+    def test_generated(self, p):
+        assert_basis_products_match_reference(p)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            *corpus_params(),
+            pytest.param(Poset(["x"], []), id="one-element"),
+            pytest.param(antichain(6), id="antichain6"),
+        ],
+    )
+    def test_named(self, p):
+        assert_basis_products_match_reference(p)
+
+    def test_built_on_first_use(self):
+        p = boolean_lattice(3)
+        assert p._products is None
+        assert p.basis_products() is p._products
+
+    @given(p=posets(max_size=7))
+    def test_equal_posets_give_equal_tables(self, p):
+        a, b = Poset(p.elements, p.covers), Poset(p.elements, p.covers)
+        assert a == b and a is not b
+        assert a.basis_products() == b.basis_products()
+        assert a.basis_products() is not b.basis_products()
