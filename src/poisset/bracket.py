@@ -667,16 +667,19 @@ def is_standard(bracket: Bracket, check: bool = True) -> IncidenceElement | None
     """
     sigma = extract_sigma(bracket, check=check)
     P, R = bracket.poset, bracket.ring
-    coeffs: dict[Interval, Scalar] = {}
-    for component in P.connected_components():
-        members = set(component)
-        values = [
-            sigma.values[pair] for pair in P.strict_pairs() if pair.lo in members
-        ]
-        if values and any(v != values[0] for v in values[1:]):
+    components = P.connected_components()
+    component_of = {x: k for k, component in enumerate(components) for x in component}
+    # sigma's value on the first strict pair of each component, in one pass
+    constants: list[Scalar | None] = [None] * len(components)
+    for pair, value in sigma.values.items():
+        k = component_of[pair.lo]
+        if constants[k] is None:
+            constants[k] = value
+        elif value != constants[k]:
             return None
-        constant = values[0] if values else R.zero
-        if not constant.is_zero():
+    coeffs: dict[Interval, Scalar] = {}
+    for component, constant in zip(components, constants):
+        if constant is not None and not constant.is_zero():
             for x in component:
                 coeffs[Interval(x, x)] = constant
     return IncidenceElement(P, R, coeffs)
@@ -784,130 +787,179 @@ def lemma_suite(
     The suite reports violations instead of refusing corrupt input, so it
     can demonstrate why a table fails; pass strict=True to insist the
     bracket verify as an antisymmetric biderivation up front.
+
+    Every instance is bilinear in the sandwiches x(e, f) e_ef and
+    y(g, h) e_gh, so it can fail only where such a coefficient meets a
+    stored entry of the table, or a term of B(e_e, x) or B(e_g, y).  Only
+    those tuples are examined, in label order; every other admissible
+    tuple is counted as a pass.
     """
     if strict:
         _require_biderivation(bracket)
     report = CheckReport("lemma_suite")
     P, R = bracket.poset, bracket.ring
-    labels = P.elements
-    idem = {x: IncidenceElement.basis(P, R, x, x) for x in labels}
-    zero_el = IncidenceElement.zero(P, R)
+    labels, rank = P.elements, P.interval_index
+    pos = {x: k for k, x in enumerate(labels)}
+    n = len(labels)
     rng = random.Random(seed)
     xs = [random_element(P, R, rng) for _ in range(samples)]
     ys = [random_element(P, R, rng) for _ in range(samples)]
+    full = bracket._full_coeffs()
+    axpy, reduce = R.axpy, R.reduce
+    empty: dict = {}
+    row: dict[Interval, list[tuple[Interval, dict]]] = {}
+    for (i, j), coeffs in full.items():
+        row.setdefault(i, []).append((j, coeffs))
+    diagonal = [i for i in row if i.lo == i.hi]
 
     # orthogonal idempotents bracket to zero
-    for e in labels:
-        for f in labels:
-            if e == f:
-                continue
-            if bracket.value(Interval(e, e), Interval(f, f)):
-                report.fail("orthogonal_vanishing", {"e": e, "f": f})
-            else:
-                report.count_pass("orthogonal_vanishing")
+    orthogonal = sorted(
+        (pos[i.lo], pos[j.lo])
+        for (i, j), coeffs in full.items()
+        if coeffs and i.lo == i.hi and j.lo == j.hi and i != j
+    )
+    for e, f in orthogonal:
+        report.fail("orthogonal_vanishing", {"e": labels[e], "f": labels[f]})
+    _count_rest(report, "orthogonal_vanishing", n * (n - 1) - len(orthogonal))
+
+    # admissible instances per sample of each random-element lemma
+    totals = {
+        "sandwich_transport": n**3,
+        "endpoint_exchange": n**2,
+        "forward_chaining": n * (n - 1) * (n - 2),
+        "backward_chaining": n * (n - 1) * (n - 2),
+        "corner_support": n * (n - 1) * ((n - 1) + (n - 2) ** 2),
+    }
+    failed = dict.fromkeys(totals, 0)
+
+    def fail(check: str, names: str, tup: tuple, s: int):
+        failed[check] += 1
+        instance = {name: labels[k] for name, k in zip(names, tup)}
+        instance["sample"] = s
+        report.fail(check, instance)
 
     for s in range(samples):
-        x, y = xs[s], ys[s]
-        bex = {e: bracket.evaluate(idem[e], x) for e in labels}
-        sx = {(a, b): x.sandwich(a, b) for a in labels for b in labels}
-        sy = {(a, b): y.sandwich(a, b) for a in labels for b in labels}
+        X, Y = xs[s]._values(), ys[s]._values()
+        # bex[e] = B(e_e, x) and bgy[g] = B(e_g, y), from the stored rows
+        # of the diagonal intervals
+        bex: dict[str, dict] = {}
+        bgy: dict[str, dict] = {}
+        for i in diagonal:
+            for out, z in ((bex, X), (bgy, Y)):
+                acc: dict = {}
+                for j, coeffs in row[i]:
+                    if j in z:
+                        axpy(acc, coeffs, z[j])
+                if acc:
+                    out[i.lo] = acc
+        x_order = sorted(X, key=rank)
+        x_from: dict[str, list[Interval]] = {}  # strict [e, f] of x by e
+        for ef in x_order:
+            if ef.lo != ef.hi:
+                x_from.setdefault(ef.lo, []).append(ef)
+        y_from: dict[str, list[Interval]] = {}  # strict [f, g] of y by f
+        for fg in Y:
+            if fg.lo != fg.hi:
+                y_from.setdefault(fg.lo, []).append(fg)
 
-        # B(e, fxg) = f B(e, x) g, and = 0 when e differs from f and g
-        for e in labels:
-            for f in labels:
-                for g in labels:
-                    fxg = sx[(f, g)]
-                    lhs = bracket.evaluate(idem[e], fxg)
-                    rhs = bex[e].sandwich(f, g)
-                    bad = lhs != rhs
-                    if not bad and e != f and e != g and lhs:
-                        bad = True
-                    if bad:
-                        report.fail(
-                            "sandwich_transport",
-                            {"e": e, "f": f, "g": g, "sample": s},
-                        )
-                    else:
-                        report.count_pass("sandwich_transport")
+        # B(e, fxg) = f B(e, x) g, and = 0 when e differs from f and g;
+        # lhs = x(f, g) B(e_e, e_fg), rhs = B(e_e, x)(f, g) e_fg
+        found = set()
+        for i in diagonal:
+            e = pos[i.lo]
+            found.update((e, pos[f], pos[g]) for f, g in bex.get(i.lo, empty))
+            found.update((e, pos[j.lo], pos[j.hi]) for j, _ in row[i] if j in X)
+        for tup in sorted(found):
+            e, f, g = (labels[k] for k in tup)
+            fg = Interval(f, g)
+            lhs: dict = {}
+            if fg in X:
+                axpy(lhs, full.get((Interval(e, e), fg), empty), X[fg])
+            b = bex.get(e, empty).get(fg)
+            if lhs != ({} if b is None else {fg: b}) or (e != f and e != g and lhs):
+                fail("sandwich_transport", "efg", tup, s)
 
-        # B(e, exf) = B(exf, f)
-        for e in labels:
-            for f in labels:
-                exf = sx[(e, f)]
-                lhs = bracket.evaluate(idem[e], exf)
-                rhs = bracket.evaluate(exf, idem[f])
-                if lhs != rhs:
-                    report.fail("endpoint_exchange", {"e": e, "f": f, "sample": s})
-                else:
-                    report.count_pass("endpoint_exchange")
+        # B(e, exf) = B(exf, f); both vanish unless x(e, f) is nonzero
+        for ef in x_order:
+            lhs, rhs = {}, {}
+            axpy(lhs, full.get((Interval(ef.lo, ef.lo), ef), empty), X[ef])
+            axpy(rhs, full.get((ef, Interval(ef.hi, ef.hi)), empty), X[ef])
+            if lhs != rhs:
+                fail("endpoint_exchange", "ef", (pos[ef.lo], pos[ef.hi]), s)
+
+        # the stored B(e_ef, e_gh) with x(e, f) and y(g, h) nonzero, e < f:
+        # the left sides of the chaining and corner instances
+        forward, backward, corner = set(), set(), []
+        for ef in x_order:
+            e, f = pos[ef.lo], pos[ef.hi]
+            if e == f:
+                continue
+            for gh, coeffs in row.get(ef, ()):
+                if gh not in Y:
+                    continue
+                g, h = pos[gh.lo], pos[gh.hi]
+                if g == f and h != f:
+                    forward.add((e, f, h))
+                if h == e and g != e:
+                    backward.add((e, f, g))
+                if g != f and h != e and h != g:
+                    corner.append(((e, f, g, h), ef, gh, coeffs))
+        # ... and the right sides: B(e_e, x)(e, f) y(f, g), B(e_g, y)(g, e) x(e, f)
+        for lo, b in bex.items():
+            for ef in b:
+                if ef.lo == lo and ef.hi != lo:
+                    e, f = pos[lo], pos[ef.hi]
+                    forward.update((e, f, pos[fg.hi]) for fg in y_from.get(ef.hi, ()))
+        for lo, b in bgy.items():
+            for ge in b:
+                if ge.lo == lo and ge.hi != lo:
+                    g = pos[lo]
+                    backward.update((pos[ef.lo], pos[ef.hi], g) for ef in x_from.get(ge.hi, ()))
 
         # distinct triples: B(exf, fyg) = e B(e, x) f y g
-        for e in labels:
-            for f in labels:
-                if f == e:
-                    continue
-                exf = sx[(e, f)]
-                ebexf = bex[e].sandwich(e, f)
-                for g in labels:
-                    if g == e or g == f:
-                        continue
-                    lhs = bracket.evaluate(exf, sy[(f, g)])
-                    rhs = ebexf * y * idem[g]
-                    if lhs != rhs:
-                        report.fail(
-                            "forward_chaining",
-                            {"e": e, "f": f, "g": g, "sample": s},
-                        )
-                    else:
-                        report.count_pass("forward_chaining")
+        for tup in sorted(forward):
+            e, f, g = (labels[k] for k in tup)
+            ef, fg = Interval(e, f), Interval(f, g)
+            yv = Y[fg]
+            lhs, rhs = {}, {}
+            if ef in X:
+                axpy(lhs, full.get((ef, fg), empty), X[ef] * yv)
+            b = bex.get(e, empty).get(ef)
+            if b is not None:
+                v = reduce(b * yv)
+                if v:
+                    rhs[Interval(e, g)] = v
+            if lhs != rhs:
+                fail("forward_chaining", "efg", tup, s)
 
         # distinct triples: B(exf, gye) = -g B(g, y) exf
-        gby = {g: idem[g] * bracket.evaluate(idem[g], y) for g in labels}
-        for e in labels:
-            for f in labels:
-                if f == e:
-                    continue
-                exf = sx[(e, f)]
-                for g in labels:
-                    if g == e or g == f:
-                        continue
-                    lhs = bracket.evaluate(exf, sy[(g, e)])
-                    rhs = -(gby[g] * exf)
-                    if lhs != rhs:
-                        report.fail(
-                            "backward_chaining",
-                            {"e": e, "f": f, "g": g, "sample": s},
-                        )
-                    else:
-                        report.count_pass("backward_chaining")
+        for tup in sorted(backward):
+            e, f, g = (labels[k] for k in tup)
+            ef, ge = Interval(e, f), Interval(g, e)
+            xv = X[ef]
+            lhs, rhs = {}, {}
+            if ge in Y:
+                axpy(lhs, full.get((ef, ge), empty), xv * Y[ge])
+            b = bgy.get(g, empty).get(ge)
+            if b is not None:
+                v = reduce(-(b * xv))
+                if v:
+                    rhs[Interval(g, f)] = v
+            if lhs != rhs:
+                fail("backward_chaining", "efg", tup, s)
 
         # quadruples with e, g orthogonal to f, h: the value is its own
         # corner sandwich eg B(exf, gyh) fh
-        for e in labels:
-            for f in labels:
-                if f == e:
-                    continue
-                exf = sx[(e, f)]
-                for g in labels:
-                    if g == f:
-                        continue
-                    for h in labels:
-                        if h == e or h == g:
-                            continue
-                        val = bracket.evaluate(exf, sy[(g, h)])
-                        if not val:
-                            report.count_pass("corner_support")
-                            continue
-                        # eg and fh collapse to e_e, e_f or vanish outright
-                        if e == g and f == h:
-                            rhs = val.sandwich(e, f)
-                        else:
-                            rhs = zero_el
-                        if val != rhs:
-                            report.fail(
-                                "corner_support",
-                                {"e": e, "f": f, "g": g, "h": h, "sample": s},
-                            )
-                        else:
-                            report.count_pass("corner_support")
+        corner.sort(key=lambda c: c[0])
+        for tup, ef, gh, coeffs in corner:
+            val: dict = {}
+            axpy(val, coeffs, X[ef] * Y[gh])
+            # eg and fh collapse to e_e, e_f or vanish outright
+            rhs = {ef: val[ef]} if ef == gh and ef in val else {}
+            if val and val != rhs:
+                fail("corner_support", "efgh", tup, s)
+
+    for check, total in totals.items():
+        _count_rest(report, check, samples * total - failed[check])
     return report
+

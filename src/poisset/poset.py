@@ -366,6 +366,12 @@ class Poset:
 
     def maximal_chain_overlap(self) -> bool:
         """True iff every two distinct maximal chains share >= 2 elements."""
+        # an element comparable to every other lies on every maximal chain,
+        # so two such elements settle it without listing the chains
+        everything = (1 << len(self._elements)) - 1
+        universal = sum(u | d == everything for u, d in zip(self._up, self._down))
+        if universal >= 2:
+            return True
         index = self._index
         chains = [sum(1 << index[x] for x in chain) for chain in self.maximal_chains()]
         return all(

@@ -1,18 +1,30 @@
 """The exhaustive verifiers, kept as a reference for poisset.bracket.
 
 Each check visits every basis pair or triple, n^2 or n^3 of them, and
-counts a pass one instance at a time.  That follows the definitions
-directly and is slow on large posets; `tests/test_bracket.py` checks that
-the output-sensitive verifiers return the same report, failures in the
-same order.  The product helpers are copied here so that the reference
-shares no enumeration code with the module it checks; `_basis_products`,
-the n^2 scan over all interval pairs, is also the reference that
-`tests/test_poset.py` checks `Poset.basis_products` against.
+counts a pass one instance at a time; `lemma_suite` likewise evaluates
+every label triple and quadruple through `Bracket.evaluate`.  That
+follows the definitions directly and is slow on large posets;
+`tests/test_bracket.py` checks that the output-sensitive verifiers and
+lemma suite return the same report, failures in the same order, and
+that `is_standard` returns the same witness.  The product helpers are
+copied here so that the reference shares no enumeration code with the
+module it checks; `_basis_products`, the n^2 scan over all interval
+pairs, is also the reference that `tests/test_poset.py` checks
+`Poset.basis_products` against.
 """
 
 from __future__ import annotations
 
-from poisset import CheckReport, Interval
+import random
+
+from poisset import (
+    CheckReport,
+    IncidenceElement,
+    Interval,
+    extract_sigma,
+    random_element,
+)
+from poisset.bracket import _require_biderivation
 
 
 def _basis_products(poset):
@@ -168,4 +180,166 @@ def check_jacobi(bracket) -> CheckReport:
                     )
                 else:
                     report.count_pass("jacobi")
+    return report
+
+
+def is_standard(bracket, check: bool = True):
+    """The central witness of poisset.is_standard, or None, one scan of
+    all strict pairs per connected component."""
+    sigma = extract_sigma(bracket, check=check)
+    P, R = bracket.poset, bracket.ring
+    coeffs = {}
+    for component in P.connected_components():
+        members = set(component)
+        values = [
+            sigma.values[pair] for pair in P.strict_pairs() if pair.lo in members
+        ]
+        if values and any(v != values[0] for v in values[1:]):
+            return None
+        constant = values[0] if values else R.zero
+        if not constant.is_zero():
+            for x in component:
+                coeffs[Interval(x, x)] = constant
+    return IncidenceElement(P, R, coeffs)
+
+
+def lemma_suite(
+    bracket: Bracket,
+    samples: int = 20,
+    seed: int = 0,
+    strict: bool = False,
+) -> CheckReport:
+    """Idempotent identities for antisymmetric biderivations.
+
+    Each identity is instantiated over all admissible tuples of the
+    diagonal idempotents e_x and a deterministic batch of random elements.
+    The suite reports violations instead of refusing corrupt input, so it
+    can demonstrate why a table fails; pass strict=True to insist the
+    bracket verify as an antisymmetric biderivation up front.
+    """
+    if strict:
+        _require_biderivation(bracket)
+    report = CheckReport("lemma_suite")
+    P, R = bracket.poset, bracket.ring
+    labels = P.elements
+    idem = {x: IncidenceElement.basis(P, R, x, x) for x in labels}
+    zero_el = IncidenceElement.zero(P, R)
+    rng = random.Random(seed)
+    xs = [random_element(P, R, rng) for _ in range(samples)]
+    ys = [random_element(P, R, rng) for _ in range(samples)]
+
+    # orthogonal idempotents bracket to zero
+    for e in labels:
+        for f in labels:
+            if e == f:
+                continue
+            if bracket.value(Interval(e, e), Interval(f, f)):
+                report.fail("orthogonal_vanishing", {"e": e, "f": f})
+            else:
+                report.count_pass("orthogonal_vanishing")
+
+    for s in range(samples):
+        x, y = xs[s], ys[s]
+        bex = {e: bracket.evaluate(idem[e], x) for e in labels}
+        sx = {(a, b): x.sandwich(a, b) for a in labels for b in labels}
+        sy = {(a, b): y.sandwich(a, b) for a in labels for b in labels}
+
+        # B(e, fxg) = f B(e, x) g, and = 0 when e differs from f and g
+        for e in labels:
+            for f in labels:
+                for g in labels:
+                    fxg = sx[(f, g)]
+                    lhs = bracket.evaluate(idem[e], fxg)
+                    rhs = bex[e].sandwich(f, g)
+                    bad = lhs != rhs
+                    if not bad and e != f and e != g and lhs:
+                        bad = True
+                    if bad:
+                        report.fail(
+                            "sandwich_transport",
+                            {"e": e, "f": f, "g": g, "sample": s},
+                        )
+                    else:
+                        report.count_pass("sandwich_transport")
+
+        # B(e, exf) = B(exf, f)
+        for e in labels:
+            for f in labels:
+                exf = sx[(e, f)]
+                lhs = bracket.evaluate(idem[e], exf)
+                rhs = bracket.evaluate(exf, idem[f])
+                if lhs != rhs:
+                    report.fail("endpoint_exchange", {"e": e, "f": f, "sample": s})
+                else:
+                    report.count_pass("endpoint_exchange")
+
+        # distinct triples: B(exf, fyg) = e B(e, x) f y g
+        for e in labels:
+            for f in labels:
+                if f == e:
+                    continue
+                exf = sx[(e, f)]
+                ebexf = bex[e].sandwich(e, f)
+                for g in labels:
+                    if g == e or g == f:
+                        continue
+                    lhs = bracket.evaluate(exf, sy[(f, g)])
+                    rhs = ebexf * y * idem[g]
+                    if lhs != rhs:
+                        report.fail(
+                            "forward_chaining",
+                            {"e": e, "f": f, "g": g, "sample": s},
+                        )
+                    else:
+                        report.count_pass("forward_chaining")
+
+        # distinct triples: B(exf, gye) = -g B(g, y) exf
+        gby = {g: idem[g] * bracket.evaluate(idem[g], y) for g in labels}
+        for e in labels:
+            for f in labels:
+                if f == e:
+                    continue
+                exf = sx[(e, f)]
+                for g in labels:
+                    if g == e or g == f:
+                        continue
+                    lhs = bracket.evaluate(exf, sy[(g, e)])
+                    rhs = -(gby[g] * exf)
+                    if lhs != rhs:
+                        report.fail(
+                            "backward_chaining",
+                            {"e": e, "f": f, "g": g, "sample": s},
+                        )
+                    else:
+                        report.count_pass("backward_chaining")
+
+        # quadruples with e, g orthogonal to f, h: the value is its own
+        # corner sandwich eg B(exf, gyh) fh
+        for e in labels:
+            for f in labels:
+                if f == e:
+                    continue
+                exf = sx[(e, f)]
+                for g in labels:
+                    if g == f:
+                        continue
+                    for h in labels:
+                        if h == e or h == g:
+                            continue
+                        val = bracket.evaluate(exf, sy[(g, h)])
+                        if not val:
+                            report.count_pass("corner_support")
+                            continue
+                        # eg and fh collapse to e_e, e_f or vanish outright
+                        if e == g and f == h:
+                            rhs = val.sandwich(e, f)
+                        else:
+                            rhs = zero_el
+                        if val != rhs:
+                            report.fail(
+                                "corner_support",
+                                {"e": e, "f": f, "g": g, "h": h, "sample": s},
+                            )
+                        else:
+                            report.count_pass("corner_support")
     return report

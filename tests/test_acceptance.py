@@ -13,7 +13,10 @@ Run with -v to get one pass/fail line per criterion:
     < 5 min total
   * bracket values depend only on the interval restrictions of the
     arguments (100 samples per poset)
-  * the idempotent lemma suite passes corpus-wide (20 random elements)
+  * the idempotent lemma suite passes corpus-wide (20 random elements),
+    on the boolean lattice on 4 atoms with dense sigma in < 1 s, and on a
+    300-element antichain (zero bracket, 5 samples) in < 2 s with exact
+    pass counts
   * proportionality scalars exist exactly on non-commuting basis pairs,
     are symmetric, and satisfy the four equational constraints
   * overlapping-maximal-chain posets have a single chain component and
@@ -22,6 +25,7 @@ Run with -v to get one pass/fail line per criterion:
     table, exhaustive, < 30 s
   * chain components of the 300-chain and of the boolean lattice on 7
     atoms, < 5 s each; `poisset components` on the 300-chain gives one class
+  * the maximal chains of the boolean lattice on 8 atoms overlap, < 1 s
   * the Leibniz and Jacobi checks of a dense-sigma 20-chain bracket
     (9,261,000 basis triples) pass, < 6 s each
   * classification of the boolean lattice on 4 atoms over Q (262,440
@@ -42,6 +46,7 @@ from poisset import (
     RATIONALS,
     Bracket,
     IncidenceElement,
+    Poset,
     SigmaMap,
     build_system,
     check_antisymmetric,
@@ -172,6 +177,32 @@ def test_lemma_suite_corpus():
         assert report.ok, (name, report.failures[:3])
 
 
+def test_lemma_suite_dense_bool4():
+    bool4 = boolean_lattice(4)
+    bracket = from_sigma(SigmaMap(bool4, Q, {pair: 3 for pair in bool4.strict_pairs()}))
+    started = time.perf_counter()
+    report = lemma_suite(bracket, samples=20)
+    assert time.perf_counter() - started < 1.0
+    assert report.ok
+
+
+def test_lemma_suite_antichain300():
+    n = 300
+    poset = Poset([str(i) for i in range(n)], [])
+    started = time.perf_counter()
+    report = lemma_suite(Bracket.from_basis_table(poset, Q, {}), samples=5)
+    assert time.perf_counter() - started < 2.0
+    assert report.ok
+    assert report.pass_counts == {
+        "orthogonal_vanishing": n * (n - 1),
+        "sandwich_transport": 5 * n**3,
+        "endpoint_exchange": 5 * n**2,
+        "forward_chaining": 5 * n * (n - 1) * (n - 2),
+        "backward_chaining": 5 * n * (n - 1) * (n - 2),
+        "corner_support": 5 * n * (n - 1) * ((n - 1) + (n - 2) ** 2),
+    }
+
+
 def test_lambda_structure(solver_bases):
     for name, poset in CORPUS:
         intervals = poset.intervals()
@@ -247,6 +278,13 @@ def test_chain_components_scale(build):
     assert time.perf_counter() - started < 5.0
     assert len(partition) == 1
     assert sum(map(len, partition.classes)) == len(poset.strict_pairs())
+
+
+def test_maximal_chain_overlap_bool8():
+    bool8 = boolean_lattice(8)
+    started = time.perf_counter()
+    assert bool8.maximal_chain_overlap()
+    assert time.perf_counter() - started < 1.0
 
 
 def test_components_cli_on_chain300(tmp_path, capsys):

@@ -722,11 +722,11 @@ def assert_same_reports(bracket):
 
 
 @st.composite
-def raw_tables(draw):
+def raw_tables(draw, rings=RINGS):
     """A sparse raw table: any ordered pairs, diagonal ones included, no
     mirror implied, values of one to three terms."""
     poset = draw(posets(max_size=5))
-    ring = draw(st.sampled_from(RINGS))
+    ring = draw(st.sampled_from(rings))
     ivs = poset.intervals()
     index = st.integers(0, len(ivs) - 1)
     table = {}
@@ -746,12 +746,12 @@ def raw_tables(draw):
 
 
 @st.composite
-def corrupted_sigma_tables(draw):
+def corrupted_sigma_tables(draw, rings=RINGS):
     """from_sigma of a random chain-constant sigma with one coefficient of
     one stored value changed: in antisymmetric storage, or in a raw table
     of both orientations, where only one of them changes."""
     poset = draw(posets(max_size=5))
-    ring = draw(st.sampled_from(RINGS))
+    ring = draw(st.sampled_from(rings))
     bracket = from_sigma(random_sigma(poset, ring, random.Random(draw(st.integers(0, 999)))))
     table = dict(bracket._table)
     antisymmetric = draw(st.booleans())
@@ -793,3 +793,171 @@ class TestAgainstReference:
         for check, _ in CHECKS:
             report = check(bad)
             assert report.failures and not report.pass_counts
+
+
+# -- the output-sensitive lemma suite against the exhaustive one ---------------
+
+# Z/4 has zero divisors: a product of two nonzero coefficients can vanish
+LEMMA_RINGS = [Q, integers_mod(5), integers_mod(4)]
+LEMMA_SAMPLES = (0, 1, 3)
+
+
+def assert_same_lemma_reports(bracket, samples, seed=0):
+    """lemma_suite reports exactly what the exhaustive reference does, from
+    the same random draws: the same failures in the same order and the
+    same pass counts."""
+    got = lemma_suite(bracket, samples=samples, seed=seed)
+    want = reference_bracket.lemma_suite(bracket, samples=samples, seed=seed)
+    assert got.failures == want.failures
+    assert got.pass_counts == want.pass_counts
+    assert got.to_json() == want.to_json()
+
+
+@st.composite
+def sigma_tables(draw, rings=LEMMA_RINGS):
+    poset = draw(posets(max_size=5))
+    ring = draw(st.sampled_from(rings))
+    return from_sigma(random_sigma(poset, ring, random.Random(draw(st.integers(0, 999)))))
+
+
+def chained_raw_table(poset, ring, rng):
+    """A raw table of up to ten values of one to three terms, half of them
+    at pairs e_ef, e_fg or e_ef, e_ge that the chaining lemmas read."""
+    ivs = poset.intervals()
+    table = {}
+    for _ in range(rng.randint(1, 10)):
+        i = rng.choice(ivs)
+        if rng.random() < 0.5:
+            j = rng.choice(ivs)
+        else:
+            j = rng.choice([j for j in ivs if i.hi == j.lo or j.hi == i.lo])
+        terms = {rng.choice(ivs): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))}
+        table[(i, j)] = el(poset, terms, ring)
+    return Bracket.from_basis_table(poset, ring, table, antisymmetric=False)
+
+
+def small_raw_tables():
+    """The one-element poset and the 3-element antichain with raw tables
+    that fail orthogonality, exchange and transport: B(e_x, e_x) = e_x,
+    B(e_1, e_2) = e_3 and B(e_2, e_1) = 2 e_1 - e_2."""
+    out = []
+    for ring in LEMMA_RINGS:
+        chain1 = make_chain(1)
+        out.append(
+            Bracket.from_basis_table(
+                chain1,
+                ring,
+                {(("1", "1"), ("1", "1")): el(chain1, {("1", "1"): 1}, ring)},
+                antisymmetric=False,
+            )
+        )
+        anti = antichain(3)
+        out.append(
+            Bracket.from_basis_table(
+                anti,
+                ring,
+                {
+                    (("1", "1"), ("1", "1")): el(anti, {("1", "1"): 1}, ring),
+                    (("1", "1"), ("2", "2")): el(anti, {("3", "3"): 1}, ring),
+                    (("2", "2"), ("1", "1")): el(anti, {("1", "1"): 2, ("2", "2"): -1}, ring),
+                },
+                antisymmetric=False,
+            )
+        )
+        out.append(Bracket.from_basis_table(anti, ring, {}))
+    return out
+
+
+class TestLemmaSuiteAgainstReference:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        bracket=raw_tables(rings=LEMMA_RINGS),
+        samples=st.sampled_from(LEMMA_SAMPLES),
+        seed=st.integers(0, 99),
+    )
+    def test_random_raw_tables(self, bracket, samples, seed):
+        assert_same_lemma_reports(bracket, samples, seed)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        bracket=corrupted_sigma_tables(rings=LEMMA_RINGS),
+        samples=st.sampled_from(LEMMA_SAMPLES),
+        seed=st.integers(0, 99),
+    )
+    def test_corrupted_sigma_tables(self, bracket, samples, seed):
+        assert_same_lemma_reports(bracket, samples, seed)
+
+    @settings(deadline=None, max_examples=60)
+    @given(bracket=sigma_tables(), samples=st.sampled_from(LEMMA_SAMPLES))
+    def test_sigma_tables(self, bracket, samples):
+        assert_same_lemma_reports(bracket, samples)
+
+    @pytest.mark.parametrize("ring", LEMMA_RINGS, ids=["Q", "Z5", "Z4"])
+    @pytest.mark.parametrize("name,poset", CORPUS, ids=[name for name, _ in CORPUS])
+    def test_corpus(self, name, poset, ring):
+        rng = random.Random(11)
+        bracket = from_sigma(random_sigma(poset, ring, rng))
+        # the same table with one coefficient changed, in raw storage
+        corrupted = dict(bracket._table)
+        corrupted.update({(j, i): -v for (i, j), v in bracket._table.items()})
+        ivs = poset.intervals()
+        pair = (rng.choice(ivs), rng.choice(ivs))
+        corrupted[pair] = corrupted.get(pair, IncidenceElement.zero(poset, ring)) + el(
+            poset, {rng.choice(ivs): 1}, ring
+        )
+        brackets = [bracket, Bracket.from_basis_table(poset, ring, corrupted, antisymmetric=False)]
+        brackets += [chained_raw_table(poset, ring, rng) for _ in range(3)]
+        for samples in LEMMA_SAMPLES:
+            for b in brackets:
+                assert_same_lemma_reports(b, samples, seed=samples)
+
+    @pytest.mark.parametrize("samples", LEMMA_SAMPLES)
+    def test_one_element_and_antichain(self, samples):
+        for bracket in small_raw_tables():
+            assert_same_lemma_reports(bracket, samples, seed=samples)
+
+    def test_every_lemma_fails_somewhere(self):
+        # the corpus, corrupted: each check of the suite has a failing
+        # instance, so a candidate source left out would show above
+        seen = set()
+        for bracket in small_raw_tables():
+            seen.update(check for check, _ in lemma_suite(bracket, samples=3).failures)
+        rng = random.Random(4)
+        for ring in LEMMA_RINGS:
+            for _, poset in CORPUS:
+                ivs = poset.intervals()
+                table = {
+                    (rng.choice(ivs), rng.choice(ivs)): el(poset, {rng.choice(ivs): 1}, ring)
+                    for _ in range(6)
+                }
+                bracket = Bracket.from_basis_table(poset, ring, table, antisymmetric=False)
+                seen.update(check for check, _ in lemma_suite(bracket, samples=3).failures)
+        assert seen == {
+            "orthogonal_vanishing",
+            "sandwich_transport",
+            "endpoint_exchange",
+            "forward_chaining",
+            "backward_chaining",
+            "corner_support",
+        }
+
+
+class TestIsStandardAgainstReference:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        poset=posets(max_size=7),
+        ring=st.sampled_from(RINGS),
+        values=st.lists(st.integers(0, 2), min_size=40, max_size=40),
+    )
+    def test_witness_unchanged(self, poset, ring, values):
+        # small values, so that both outcomes come up: a sigma constant on
+        # each connected component, or one that is not
+        sigma = SigmaMap(
+            poset,
+            ring,
+            {pair: values[k] for k, cls in enumerate(poset.chain_components()) for pair in cls},
+        )
+        bracket = from_sigma(sigma)
+        assert is_standard(bracket, check=False) == reference_bracket.is_standard(
+            bracket, check=False
+        )

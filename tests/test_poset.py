@@ -412,6 +412,16 @@ class TestAgainstReference:
     def test_named(self, p):
         assert_matches_reference(p.elements, p.covers)
 
+    @given(p=posets(max_size=6))
+    def test_overlap_with_a_bottom_and_a_top(self, p):
+        # the two adjoined elements are comparable to every other one, so
+        # the overlap holds without listing the maximal chains
+        elements = ["bottom", *p.elements, "top"]
+        covers = [*p.covers]
+        covers += [("bottom", x) for x in p.elements] + [(x, "top") for x in p.elements]
+        assert Poset(elements, covers).maximal_chain_overlap()
+        assert ReferencePoset(elements, covers).maximal_chain_overlap()
+
 
 def assert_basis_products_match_reference(p: Poset):
     """Poset.basis_products against the n^2 scan of reference_bracket and
