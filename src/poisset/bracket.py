@@ -165,18 +165,6 @@ def is_chain_constant(sigma: SigmaMap) -> bool:
     return sigma.is_chain_constant()
 
 
-def _mul_right(coeffs: dict, b: Interval) -> dict:
-    """coeffs * e_b at the coefficient level."""
-    u, v = b
-    return {Interval(x, v): c for (x, z), c in coeffs.items() if z == u}
-
-
-def _mul_left(a: Interval, coeffs: dict) -> dict:
-    """e_a * coeffs at the coefficient level."""
-    x, u = a
-    return {Interval(x, y): c for (z, y), c in coeffs.items() if z == u}
-
-
 class Bracket:
     """A bilinear bracket stored by its basis table.
 
@@ -411,6 +399,21 @@ def _count_rest(report: CheckReport, check: str, passes: int):
         report.count_pass(check, passes)
 
 
+def _rank_table(bracket: Bracket, rank: dict) -> dict[tuple[int, int], dict]:
+    """Every nonzero B(e_i, e_c), both orientations, on interval ranks, with
+    all values scaled by one positive integer that makes them ints
+    (RingSpec.integer_scale): the Leibniz residuals are linear in the
+    values and the Jacobi sums bilinear, so either vanishes iff its scaled
+    form does."""
+    full = bracket._full_coeffs()
+    scale = bracket.ring.integer_scale(full.values())
+    return {
+        (rank[i], rank[c]): {rank[k]: int(v * scale) for k, v in coeffs.items()}
+        for (i, c), coeffs in full.items()
+        if coeffs
+    }
+
+
 def check_biderivation(bracket: Bracket) -> CheckReport:
     """Both Leibniz identities on all ordered basis triples (a, b, c):
 
@@ -420,84 +423,38 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
     When the bracket is antisymmetric the two are equivalent; the report
     still records both, plus whether their verdicts agreed triple by triple.
 
-    A residual is nonzero only where a stored entry reaches it, so for
-    each pair (a, b), in canonical order, only the c below are examined,
-    in canonical order; every other triple passes both identities.
-
-      first:  B(ab, c) stored; B(a, c) has a term e_xz with z = b.lo;
-              B(b, c) has a term e_xz with x = a.hi
-      second: B(a, bc) stored, that is c = [b.hi, k.hi] for a stored
-              B(a, k) with k.lo = b.lo; B(a, b) has a term e_xz with
-              z = c.lo; B(a, c) has a term e_xz with x = b.hi
+    Each term of a residual comes from one stored entry B(i, c), so the
+    residuals are summed from the stored entries alone (see
+    _leibniz_failures) and every triple no entry reaches passes.  The
+    failing triples are reported in canonical order, pass counts are n^3
+    minus the failures.
     """
+    return _biderivation(bracket, check_antisymmetric(bracket).ok)
+
+
+def _biderivation(bracket: Bracket, antisym: bool) -> CheckReport:
     report = CheckReport("biderivation")
     ivs = bracket.poset.intervals()
     basis = bracket.poset.basis_products()
-    rank, starting = basis.rank, basis.starting
-    full = bracket._full_coeffs()
-    axpy = bracket.ring.axpy
-    empty: dict = {}
-    antisym = check_antisymmetric(bracket).ok
-    fail1: set = set()
-    fail2: set = set()
+    table = _rank_table(bracket, basis.rank)
+    factors: dict[int, list[tuple[int, int]]] = {}  # the (a, b) with ab = t
+    for ab, t in basis.product.items():
+        factors.setdefault(t, []).append(ab)
+    by_right: dict[int, list[tuple[int, dict]]] = {}
+    by_left: dict[int, list[tuple[int, dict]]] = {}
+    for (i, c), values in table.items():
+        by_right.setdefault(c, []).append((i, values))
+        by_left.setdefault(i, []).append((c, values))
 
-    # the stored B(i, c) by left interval i: row[i] holds the ranks of all
-    # such c, upper[i][z] and lower[i][x] the ranks of those where B(i, c)
-    # has a term e_xz, tops[i][y] the tops of those with c.lo = y
-    row: dict[Interval, list[int]] = {}
-    upper: dict[Interval, dict[str, set[int]]] = {}
-    lower: dict[Interval, dict[str, set[int]]] = {}
-    tops: dict[Interval, dict[str, list[str]]] = {}
-    for (i, c), coeffs in full.items():
-        rc = rank[c]
-        row.setdefault(i, []).append(rc)
-        tops.setdefault(i, {}).setdefault(c.lo, []).append(c.hi)
-        up = upper.setdefault(i, {})
-        low = lower.setdefault(i, {})
-        for x, z in coeffs:
-            up.setdefault(z, set()).add(rc)
-            low.setdefault(x, set()).add(rc)
-
-    for a in ivs:
-        up_a = upper.get(a, empty)
-        low_a = lower.get(a, empty)
-        tops_a = tops.get(a, empty)
-        for b in ivs:
-            ab = Interval(a.lo, b.hi) if a.hi == b.lo else None
-            f_ab = full.get((a, b), empty)
-            candidates = set(up_a.get(b.lo, ()))
-            candidates.update(low_a.get(b.hi, ()))
-            candidates.update(lower.get(b, empty).get(a.hi, ()))
-            if ab is not None:
-                candidates.update(row.get(ab, ()))
-            for _, z in f_ab:
-                candidates.update(starting[z])
-            for hi in tops_a.get(b.lo, ()):
-                rc = rank.get(Interval(b.hi, hi))
-                if rc is not None:
-                    candidates.add(rc)
-
-            for rc in sorted(candidates):
-                c = ivs[rc]
-                f_ac = full.get((a, c), empty)
-                residual = dict(full.get((ab, c), empty))
-                axpy(residual, _mul_right(f_ac, b), -1)
-                axpy(residual, _mul_left(a, full.get((b, c), empty)), -1)
-                if residual:
-                    fail1.add((a, b, c))
-                    report.fail(
-                        "leibniz_1", {"a": list(a), "b": list(b), "c": list(c)}
-                    )
-
-                bc = Interval(b.lo, c.hi) if b.hi == c.lo else None
-                residual = dict(full.get((a, bc), empty))
-                axpy(residual, _mul_right(f_ab, c), -1)
-                axpy(residual, _mul_left(b, f_ac), -1)
-                if residual:
-                    fail2.add((a, b, c))
-                    report.fail(
-                        "leibniz_2", {"a": list(a), "b": list(b), "c": list(c)}
-                    )
+    reduce = bracket.ring.reduce
+    fail1 = set(_leibniz_failures(by_right, factors, basis, reduce))
+    # the second identity at (a, b, c) is the first at (b, c, a) for the
+    # transposed table B'(u, v) = B(v, u), whose B'(i, a) are by_left[a]
+    fail2 = {(a, b, c) for b, c, a in _leibniz_failures(by_left, factors, basis, reduce)}
+    for triple in sorted(fail1 | fail2):
+        for check, failed in (("leibniz_1", fail1), ("leibniz_2", fail2)):
+            if triple in failed:
+                report.fail(check, dict(zip("abc", (list(ivs[r]) for r in triple))))
 
     triples = len(ivs) ** 3
     _count_rest(report, "leibniz_1", triples - len(fail1))
@@ -515,74 +472,77 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
     return report
 
 
+def _leibniz_failures(lines, factors, basis, reduce) -> list[tuple[int, int, int]]:
+    """The rank triples (a, b, c) with B(ab, c) - B(a, c) e_b - e_a B(b, c)
+    nonzero, given the stored B(i, c) as lines[c] = [(i, values), ...].
+
+    The residuals of one c are summed term by term from its line: B(i, c)
+    lands at each factorisation i = ab; B(i, c) e_b at (i, b, c) for each
+    term e_k with e_k e_b nonzero; e_a B(i, c) at (a, i, c) for each term
+    with e_a e_k nonzero.
+    """
+    left, right = basis.left, basis.right
+    failed: list[tuple[int, int, int]] = []
+    for c, line in lines.items():
+        acc: dict[tuple[int, int, int], int] = {}  # (a, b, t): residual at e_t
+        get = acc.get
+        for i, values in line:
+            for a, b in factors.get(i, ()):
+                for k, v in values.items():
+                    acc[a, b, k] = get((a, b, k), 0) + v
+            for k, v in values.items():
+                for t, b in left[k]:
+                    acc[i, b, t] = get((i, b, t), 0) - v
+                for t, a in right[k]:
+                    acc[a, i, t] = get((a, i, t), 0) - v
+        failed += {(a, b, c) for (a, b, _), v in acc.items() if reduce(v)}
+    return failed
+
+
 def check_jacobi(bracket: Bracket) -> CheckReport:
     """B(a, B(b, c)) + B(b, B(c, a)) + B(c, B(a, b)) = 0 on basis triples.
 
-    The left side at (a, b, c) is nonzero only if B(b, c) or B(c, a) is
-    stored, or B(c, k) is stored for some k in the support of B(a, b).
-    For each pair (a, b), in canonical order, only those c are examined;
-    every other triple passes.  The left side is the same sum at the three
-    rotations of a triple, so it is computed once, at the rotation that
-    comes first in canonical order, and a failure there is carried over
-    to the other two.
+    The left side is the same sum at the three rotations of a triple, and
+    each of its terms is B(x, B(y, z)) at a rotation (x, y, z): a stored
+    B(y, z) with a term e_k and a stored B(x, k).  The sums are collected
+    from those pairs of stored entries alone, once per rotation class, and
+    a failing class fails at each of its rotations; every other triple
+    passes.  Failures are reported in canonical order, pass counts are n^3
+    minus the failures.
     """
     report = CheckReport("jacobi")
     ivs = bracket.poset.intervals()
-    rank = bracket.poset.basis_products().rank
-    full = bracket._full_coeffs()
-    axpy = bracket.ring.axpy
-    empty: dict = {}
+    table = _rank_table(bracket, bracket.poset.basis_products().rank)
+    reduce = bracket.ring.reduce
+    by_right: dict[int, list[tuple[int, dict]]] = {}  # the stored B(x, k) by k
+    for (x, k), values in table.items():
+        by_right.setdefault(k, []).append((x, values))
 
-    row: dict[Interval, list[int]] = {}  # ranks of c with B(i, c) stored
-    col: dict[Interval, list[int]] = {}  # ranks of i with B(i, c) stored
-    for i, c in full:
-        row.setdefault(i, []).append(rank[c])
-        col.setdefault(c, []).append(rank[i])
-
-    def apply(left: Interval, coeffs: dict, acc: dict):
-        for k, ck in coeffs.items():
-            inner = full.get((left, k))
-            if inner:
-                axpy(acc, inner, ck)
-
-    # rotations of failed triples, still to be reported, by their pair
-    pending: dict[tuple[int, int], list[int]] = {}
-    for ra, a in enumerate(ivs):
-        col_a = col.get(a, ())
-        for rb, b in enumerate(ivs):
-            failed = pending.pop((ra, rb), [])
-            # with rb < ra no triple here comes first among its rotations;
-            # its failures arrive through pending
-            if ra <= rb:
-                f_ab = full.get((a, b), empty)
-                candidates = set(row.get(b, ()))
-                candidates.update(col_a)
-                for k in f_ab:
-                    candidates.update(col.get(k, ()))
-                for rc in candidates:
-                    triple = (ra, rb, rc)
-                    if triple > (rb, rc, ra) or triple > (rc, ra, rb):
-                        continue
-                    c = ivs[rc]
-                    acc: dict[Interval, object] = {}
-                    apply(a, full.get((b, c), empty), acc)
-                    apply(b, full.get((c, a), empty), acc)
-                    apply(c, f_ab, acc)
-                    if acc:
-                        failed.append(rc)
-                        for r1, r2, r3 in {(rb, rc, ra), (rc, ra, rb)} - {triple}:
-                            pending.setdefault((r1, r2), []).append(r3)
-            for rc in sorted(failed):
-                c = ivs[rc]
-                report.fail("jacobi", {"a": list(a), "b": list(b), "c": list(c)})
-    _count_rest(report, "jacobi", len(ivs) ** 3 - len(report.failures))
+    sums: dict[tuple[int, int, int], dict] = {}  # by first rotation
+    for (y, z), inner in table.items():
+        for k, v in inner.items():
+            for x, outer in by_right.get(k, ()):
+                acc = sums.setdefault(min((x, y, z), (y, z, x), (z, x, y)), {})
+                # the three rotations of (x, x, x) are one triple, one term
+                weight = 3 * v if x == y == z else v
+                for t, w in outer.items():
+                    acc[t] = acc.get(t, 0) + weight * w
+    failed = {
+        rotation
+        for (a, b, c), acc in sums.items()
+        if any(map(reduce, acc.values()))
+        for rotation in ((a, b, c), (b, c, a), (c, a, b))
+    }
+    for triple in sorted(failed):
+        report.fail("jacobi", dict(zip("abc", (list(ivs[r]) for r in triple))))
+    _count_rest(report, "jacobi", len(ivs) ** 3 - len(failed))
     return report
 
 
 def _require_biderivation(bracket: Bracket):
     if not check_antisymmetric(bracket).ok:
         raise NotABiderivation("bracket is not antisymmetric")
-    if not check_biderivation(bracket).ok:
+    if not _biderivation(bracket, antisym=True).ok:
         raise NotABiderivation("bracket violates a Leibniz identity")
 
 
@@ -726,20 +686,24 @@ def verify_piecewise_witness(
     P, R = bracket.poset, bracket.ring
     index = P.basis_products().rank
     bases = [_span(R, (_coords(g, index) for g in gens)) for gens in witness.ideals]
+    elements = [(iv, IncidenceElement.basis(P, R, *iv)) for iv in P.intervals()]
 
-    for pos, (gens, basis) in enumerate(zip(witness.ideals, bases)):
-        ok = True
+    # clauses (a) and (c) share each commutator [g, e]; the scaling
+    # failures are reported after clause (b)
+    scaling: list[list[list[str]]] = []
+    for pos, (gens, basis, lam) in enumerate(zip(witness.ideals, bases, witness.lambdas)):
+        ok, bad = True, []
         for g in gens:
-            for lo, hi in P.intervals():
-                e = IncidenceElement.basis(P, R, lo, hi)
-                if basis.residue(_coords(g.commutator(e), index)):
+            for iv, e in elements:
+                commutator = g.commutator(e)
+                if basis.residue(_coords(commutator, index)):
                     ok = False
-                    report.fail(
-                        "piecewise.lie_ideal",
-                        {"ideal": pos, "basis": [lo, hi]},
-                    )
+                    report.fail("piecewise.lie_ideal", {"ideal": pos, "basis": list(iv)})
+                if bracket.evaluate(g, e) != commutator.scale(lam):
+                    bad.append(list(iv))
         if ok:
             report.count_pass("piecewise.lie_ideal")
+        scaling.append(bad)
 
     ranks = [b.rank for b in bases]
     joint = _span(R, (_coords(g, index) for gens in witness.ideals for g in gens))
@@ -755,18 +719,10 @@ def verify_piecewise_witness(
             },
         )
 
-    for pos, (gens, lam) in enumerate(zip(witness.ideals, witness.lambdas)):
-        ok = True
-        for g in gens:
-            for lo, hi in P.intervals():
-                e = IncidenceElement.basis(P, R, lo, hi)
-                if bracket.evaluate(g, e) != g.commutator(e).scale(lam):
-                    ok = False
-                    report.fail(
-                        "piecewise.scaling",
-                        {"ideal": pos, "basis": [lo, hi]},
-                    )
-        if ok:
+    for pos, bad in enumerate(scaling):
+        for iv in bad:
+            report.fail("piecewise.scaling", {"ideal": pos, "basis": iv})
+        if not bad:
             report.count_pass("piecewise.scaling")
     return report
 

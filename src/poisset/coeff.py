@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping
+from math import lcm
+from typing import Iterable, Mapping
 
 from .errors import (
     NotInvertible,
@@ -156,6 +157,15 @@ class RingSpec:
                 acc[k] = v
             else:
                 acc.pop(k, None)
+
+    def integer_scale(self, rows: Iterable[Mapping]) -> int:
+        """A positive integer that turns every raw value of rows into an
+        int when multiplied in: the lcm of the denominators over Q, 1 over
+        Z and Z/m.  A sum linear or bilinear in the values vanishes iff the
+        same sum of scaled values does (after reduce, over Z/m)."""
+        if self.kind != "Q":
+            return 1
+        return lcm(*(v.denominator for row in rows for v in row.values()))
 
     # -- scalar construction -------------------------------------------------
 

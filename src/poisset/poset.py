@@ -68,15 +68,14 @@ class BasisProducts(NamedTuple):
     e_xy e_yz = e_xz, and every other product of basis elements is zero.
     product[(a, b)] = t when e_a e_b = e_t, keyed in canonical order;
     right[b] lists the (t, k) with e_k e_b = e_t and left[a] the (t, k)
-    with e_a e_k = e_t, by ascending k; starting[x] holds the ascending
-    ranks of the intervals [x, y]; rank maps each interval to its rank.
+    with e_a e_k = e_t, by ascending k; rank maps each interval to its
+    rank.
     One table is shared by every caller, so none may mutate it.
     """
 
     product: dict[tuple[int, int], int]
     right: tuple[tuple[tuple[int, int], ...], ...]
     left: tuple[tuple[tuple[int, int], ...], ...]
-    starting: dict[str, tuple[int, ...]]
     rank: dict[Interval, int]
 
 
@@ -271,9 +270,8 @@ class Poset:
                     product[a, b] = t = rank[lo, intervals[b].hi]
                     left[a].append((t, b))
                     right[b].append((t, a))
-            frozen = {x: tuple(ranks) for x, ranks in starting.items()}
             self._products = BasisProducts(
-                product, tuple(map(tuple, right)), tuple(map(tuple, left)), frozen, rank
+                product, tuple(map(tuple, right)), tuple(map(tuple, left)), rank
             )
         return self._products
 

@@ -7,10 +7,12 @@ B(f, g)(x, y) = sigma(x, y) [f, g](x, y).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import poisset.bracket
 import reference_bracket
 from conftest import (
     CORPUS,
@@ -408,6 +410,29 @@ class TestFromSigma:
         with pytest.raises(NotABiderivation):
             extract_sigma(raw)
 
+    def test_extract_sigma_checks_antisymmetry_once(self, monkeypatch):
+        calls = []
+        check = poisset.bracket.check_antisymmetric
+        monkeypatch.setattr(
+            poisset.bracket, "check_antisymmetric", lambda b: calls.append(b) or check(b)
+        )
+        bracket = from_sigma(crown_sigma(1, 2, 3, 4))
+        assert extract_sigma(bracket) == crown_sigma(1, 2, 3, 4)
+        assert calls == [bracket]
+        # the two verdicts keep their messages
+        half = Bracket.from_basis_table(
+            CROWN, Q, {(("1", "1"), ("1", "3")): el(CROWN, {("1", "3"): 1})},
+            antisymmetric=False,
+        )
+        with pytest.raises(NotABiderivation, match="not antisymmetric"):
+            extract_sigma(half)
+        leibniz = Bracket.from_basis_table(
+            CROWN, Q, {(("1", "1"), ("2", "2")): el(CROWN, {("1", "3"): 1})}
+        )
+        with pytest.raises(NotABiderivation, match="violates a Leibniz identity"):
+            extract_sigma(leibniz)
+        assert len(calls) == 3
+
     def test_works_over_non_field_rings(self):
         sigma = SigmaMap(CHAIN3, INTEGERS, {p: INTEGERS.scalar(2) for p in CHAIN3.strict_pairs()})
         bracket = from_sigma(sigma)
@@ -709,7 +734,9 @@ CHECKS = [
     (check_biderivation, reference_bracket.check_biderivation),
     (check_jacobi, reference_bracket.check_jacobi),
 ]
-RINGS = [Q, integers_mod(5)]
+# Z has no denominators to clear and Z/4 has zero divisors
+RINGS = [Q, integers_mod(5), INTEGERS, integers_mod(4)]
+RING_IDS = ["Q", "Z5", "Z", "Z4"]
 
 
 def assert_same_reports(bracket):
@@ -724,23 +751,29 @@ def assert_same_reports(bracket):
 @st.composite
 def raw_tables(draw, rings=RINGS):
     """A sparse raw table: any ordered pairs, diagonal ones included, no
-    mirror implied, values of one to three terms."""
+    mirror implied, values of one to three terms; over Q with mixed
+    denominators, so that the verifiers must clear them."""
     poset = draw(posets(max_size=5))
     ring = draw(st.sampled_from(rings))
     ivs = poset.intervals()
     index = st.integers(0, len(ivs) - 1)
+    denominator = st.sampled_from((1, 2, 3, 4, 6)) if ring == Q else st.just(1)
     table = {}
     for i, j, terms in draw(
         st.lists(
             st.tuples(
                 index,
                 index,
-                st.lists(st.tuples(index, st.integers(-3, 3)), min_size=1, max_size=3),
+                st.lists(
+                    st.tuples(index, st.integers(-3, 3), denominator),
+                    min_size=1,
+                    max_size=3,
+                ),
             ),
             max_size=8,
         )
     ):
-        coeffs = {ivs[k]: ring.scalar(c) for k, c in terms}
+        coeffs = {ivs[k]: ring.scalar(Fraction(c, d)) for k, c, d in terms}
         table[(ivs[i], ivs[j])] = IncidenceElement(poset, ring, coeffs)
     return Bracket.from_basis_table(poset, ring, table, antisymmetric=False)
 
@@ -775,12 +808,40 @@ class TestAgainstReference:
     def test_corrupted_sigma_tables(self, bracket):
         assert_same_reports(bracket)
 
-    @pytest.mark.parametrize("ring", RINGS, ids=["Q", "Z5"])
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
     @pytest.mark.parametrize("name,poset", CORPUS, ids=[name for name, _ in CORPUS])
     def test_sigma_tables_on_the_corpus(self, name, poset, ring):
         assert_same_reports(from_sigma(random_sigma(poset, ring, random.Random(7))))
 
-    @pytest.mark.parametrize("ring", RINGS, ids=["Q", "Z5"])
+    @pytest.mark.parametrize("name,poset", CORPUS, ids=[name for name, _ in CORPUS])
+    def test_fractional_tables_on_the_corpus(self, name, poset):
+        # sigma over Q with mixed denominators, then one coefficient moved
+        # by 1/3 in raw storage: the checks must clear the denominators
+        rng = random.Random(13)
+        values = {}
+        for cls in poset.chain_components():
+            value = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 4, 6)))
+            values.update(dict.fromkeys(cls, value))
+        bracket = from_sigma(SigmaMap(poset, Q, values))
+        assert_same_reports(bracket)
+        table = dict(bracket._table)
+        table.update({(j, i): -v for (i, j), v in bracket._table.items()})
+        ivs = poset.intervals()
+        pair = (rng.choice(ivs), rng.choice(ivs))
+        table[pair] = table.get(pair, IncidenceElement.zero(poset, Q)) + el(
+            poset, {rng.choice(ivs): Fraction(1, 3)}
+        )
+        assert_same_reports(Bracket.from_basis_table(poset, Q, table, antisymmetric=False))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_zero_tables_on_antichains(self, n, ring):
+        for antisymmetric in (True, False):
+            assert_same_reports(
+                Bracket.from_basis_table(antichain(n), ring, {}, antisymmetric=antisymmetric)
+            )
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
     def test_every_triple_failing(self, ring):
         # one element, B(e11, e11) = e11: no instance passes, so no check
         # gets a pass count
@@ -793,6 +854,18 @@ class TestAgainstReference:
         for check, _ in CHECKS:
             report = check(bad)
             assert report.failures and not report.pass_counts
+
+    def test_jacobi_of_a_diagonal_triple_counts_three_terms(self):
+        # at (e11, e11, e11) all three Jacobi terms are B(e11, B(e11, e11)),
+        # so the left side is 3 e11: zero over Z/3, nonzero over Z/5
+        chain1 = make_chain(1)
+        for ring, ok in ((integers_mod(3), True), (integers_mod(5), False)):
+            bracket = Bracket.from_basis_table(
+                chain1, ring, {(("1", "1"), ("1", "1")): el(chain1, {("1", "1"): 1}, ring)},
+                antisymmetric=False,
+            )
+            assert_same_reports(bracket)
+            assert check_jacobi(bracket).ok is ok
 
 
 # -- the output-sensitive lemma suite against the exhaustive one ---------------
