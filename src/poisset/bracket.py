@@ -168,28 +168,36 @@ def is_chain_constant(sigma: SigmaMap) -> bool:
 class Bracket:
     """A bilinear bracket stored by its basis table.
 
-    In antisymmetric mode only pairs (i, j) with i before j in the canonical
-    interval order are stored; B(e_j, e_i) is minus the stored value and the
-    diagonal is zero by construction.  In raw mode the table is taken as
-    given, with missing pairs read as zero; this is how unvalidated input is
-    held so that the checks can report its violations.
+    The table maps each ordered pair (i, j) with B(e_i, e_j) nonzero to its
+    coefficients as raw ring values; a missing pair reads as zero.  In
+    antisymmetric mode the caller gives only the pairs with i before j in
+    the canonical interval order and the constructor adds the mirrors,
+    B(e_j, e_i) = -B(e_i, e_j); the diagonal is zero.  In raw mode the table
+    is kept as given; this is how unvalidated input is held so that the
+    checks can report its violations.  Callers must not mutate the table.
     """
 
-    __slots__ = ("poset", "ring", "antisymmetric_mode", "_table", "_zero", "_full")
+    __slots__ = ("poset", "ring", "antisymmetric_mode", "_zero", "_full")
 
     def __init__(
         self,
         poset: Poset,
         ring: RingSpec,
-        table: dict[tuple[Interval, Interval], IncidenceElement],
+        table: dict[tuple[Interval, Interval], dict],
         antisymmetric_mode: bool,
     ):
         self.poset = poset
         self.ring = ring
         self.antisymmetric_mode = antisymmetric_mode
-        self._table = table
         self._zero = IncidenceElement.zero(poset, ring)
-        self._full = None
+        if antisymmetric_mode:
+            full: dict[tuple[Interval, Interval], dict] = {}
+            for (i, j), values in table.items():
+                full[i, j] = values
+                full[j, i] = mirrored = {}
+                ring.axpy(mirrored, values, -1)
+            table = full
+        self._full = table
 
     @staticmethod
     def from_basis_table(
@@ -211,7 +219,9 @@ class Bracket:
                 raise InvalidPair(f"({lo!r}, {hi!r}) is not an interval")
             return Interval(lo, hi)
 
-        normalized: dict[tuple[Interval, Interval], IncidenceElement] = {}
+        # zero values are kept here too, so that a mirror has a value to
+        # be compared with whichever orientation comes first
+        table: dict[tuple[Interval, Interval], dict] = {}
         for (left_key, right_key), value in entries.items():
             left, right = as_interval(left_key), as_interval(right_key)
             if not isinstance(value, IncidenceElement):
@@ -220,60 +230,37 @@ class Bracket:
                 raise PosetMismatch(f"value at ({left}, {right}) uses another poset")
             if value.ring != ring:
                 raise RingMismatch(f"value at ({left}, {right}) lives in {value.ring}")
-            if not antisymmetric:
-                if value:
-                    normalized[(left, right)] = value
-                continue
-            if left == right:
-                if value:
+            values = value._values()
+            if antisymmetric:
+                if left == right:
+                    if value:
+                        raise InconsistentAntisymmetry(
+                            f"B(e_{left}, e_{left}) must vanish, got {value!r}"
+                        )
+                    continue
+                if poset.interval_index(left) > poset.interval_index(right):
+                    left, right, values = right, left, (-value)._values()
+                if table.get((left, right), values) != values:
                     raise InconsistentAntisymmetry(
-                        f"B(e_{left}, e_{left}) must vanish, got {value!r}"
+                        f"B{(left, right)} and its mirror disagree with antisymmetry"
                     )
-                continue
-            li = poset.interval_index(left)
-            ri = poset.interval_index(right)
-            key = (left, right) if li < ri else (right, left)
-            signed = value if li < ri else -value
-            if key in normalized:
-                if normalized[key] != signed:
-                    raise InconsistentAntisymmetry(
-                        f"B{key} and its mirror disagree with antisymmetry"
-                    )
-            elif signed:
-                normalized[key] = signed
-        return Bracket(poset, ring, normalized, antisymmetric)
+            table[left, right] = values
+        return Bracket(poset, ring, {k: v for k, v in table.items() if v}, antisymmetric)
 
     # -- table access --------------------------------------------------------
 
     def value(self, i: Interval, j: Interval) -> IncidenceElement:
         """B(e_i, e_j)."""
-        if not self.antisymmetric_mode:
-            return self._table.get((i, j), self._zero)
-        if i == j:
-            return self._zero
-        if self.poset.interval_index(i) < self.poset.interval_index(j):
-            return self._table.get((i, j), self._zero)
-        stored = self._table.get((j, i))
-        return -stored if stored is not None else self._zero
-
-    def _full_coeffs(self) -> dict[tuple[Interval, Interval], dict]:
-        """Raw coefficient dicts for every nonzero pair, both orientations.
-
-        Built on first use and shared afterwards; callers must not mutate it.
-        """
-        if self._full is None:
-            full: dict[tuple[Interval, Interval], dict] = {}
-            for (i, j), el in self._table.items():
-                full[(i, j)] = values = el._values()
-                if self.antisymmetric_mode:
-                    full[(j, i)] = mirrored = {}
-                    self.ring.axpy(mirrored, values, -1)
-            self._full = full
-        return self._full
+        return self._zero._wrap(self._full.get((i, j), {}))
 
     def stored_pairs(self) -> list[tuple[Interval, Interval]]:
-        order = self.poset.interval_index
-        return sorted(self._table, key=lambda p: (order(p[0]), order(p[1])))
+        """The pairs of the table in canonical order; in antisymmetric mode
+        only those with i before j, as they were given."""
+        rank = self.poset.interval_index
+        pairs = sorted(self._full, key=lambda p: (rank(p[0]), rank(p[1])))
+        if self.antisymmetric_mode:
+            return [(i, j) for i, j in pairs if rank(i) < rank(j)]
+        return pairs
 
     # -- evaluation ----------------------------------------------------------
 
@@ -284,7 +271,7 @@ class Bracket:
                 raise PosetMismatch("argument lives over another poset")
             if el.ring != self.ring:
                 raise RingMismatch(f"argument lives in {el.ring}, not {self.ring}")
-        full = self._full_coeffs()
+        full = self._full
         axpy = self.ring.axpy
         acc: dict[Interval, object] = {}
         for i, fi in f.coeffs.items():
@@ -300,9 +287,7 @@ class Bracket:
         """Poset, ring and every nonzero B(e_i, e_j) in both orientations,
         so raw and antisymmetric storage of one bracket give one key."""
         values = frozenset(
-            (pair, frozenset(coeffs.items()))
-            for pair, coeffs in self._full_coeffs().items()
-            if coeffs
+            (pair, frozenset(coeffs.items())) for pair, coeffs in self._full.items()
         )
         return self.poset, self.ring, values
 
@@ -316,26 +301,22 @@ class Bracket:
 
     def __repr__(self):
         mode = "antisymmetric" if self.antisymmetric_mode else "raw"
-        return f"Bracket({mode}, {len(self._table)} stored pairs)"
+        return f"Bracket({mode}, {len(self.stored_pairs())} stored pairs)"
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        """Table as JSON.  Antisymmetric tables are written out in full,
-        both orientations of every stored pair, so that the file alone
-        certifies antisymmetry when re-verified."""
+        """Table as JSON: every nonzero B(e_i, e_j), for an antisymmetric
+        table in both orientations, so that the file alone certifies
+        antisymmetry when re-verified."""
         order = self.poset.interval_index
-        entries: dict[tuple[Interval, Interval], IncidenceElement] = dict(self._table)
-        if self.antisymmetric_mode:
-            for (i, j), el in self._table.items():
-                entries[(j, i)] = -el
         pairs = []
-        for i, j in sorted(entries, key=lambda p: (order(p[0]), order(p[1]))):
+        for i, j in sorted(self._full, key=lambda p: (order(p[0]), order(p[1]))):
             pairs.append(
                 {
                     "left": {"lo": i.lo, "hi": i.hi},
                     "right": {"lo": j.lo, "hi": j.hi},
-                    "value": entries[(i, j)].to_json()["entries"],
+                    "value": self.value(i, j).to_json()["entries"],
                 }
             )
         return {"pairs": pairs}
@@ -373,9 +354,9 @@ def check_antisymmetric(bracket: Bracket) -> CheckReport:
     ivs = bracket.poset.intervals()
     # ranks alone: the product table would cost O(products), this check O(stored)
     rank = bracket.poset.interval_index
-    full = bracket._full_coeffs()
+    full = bracket._full
     empty: dict = {}
-    diagonal = sorted(rank(i) for (i, j), v in full.items() if i == j and v)
+    diagonal = sorted(rank(i) for i, j in full if i == j)
     pairs = sorted(
         {tuple(sorted((rank(i), rank(j)))) for i, j in full if i != j}
     )
@@ -405,12 +386,11 @@ def _rank_table(bracket: Bracket, rank: dict) -> dict[tuple[int, int], dict]:
     (RingSpec.integer_scale): the Leibniz residuals are linear in the
     values and the Jacobi sums bilinear, so either vanishes iff its scaled
     form does."""
-    full = bracket._full_coeffs()
+    full = bracket._full
     scale = bracket.ring.integer_scale(full.values())
     return {
         (rank[i], rank[c]): {rank[k]: int(v * scale) for k, v in coeffs.items()}
         for (i, c), coeffs in full.items()
-        if coeffs
     }
 
 
@@ -567,13 +547,12 @@ def from_sigma(sigma: SigmaMap) -> Bracket:
         raise NotChainConstant("sigma takes two values on one chain component")
     P, R = sigma.poset, sigma.ring
     ivs = P.intervals()
-    table: dict[tuple[Interval, Interval], IncidenceElement] = {}
+    table: dict[tuple[Interval, Interval], dict] = {}
     for a, b, t, sign in _commutators(P):
         if a < b:
-            weight = sigma.values[StrictPair(*ivs[t])]
-            if not weight.is_zero():
-                coeff = weight if sign > 0 else -weight
-                table[(ivs[a], ivs[b])] = IncidenceElement(P, R, {ivs[t]: coeff})
+            w = sigma.values[StrictPair(*ivs[t])].value
+            if w:
+                table[ivs[a], ivs[b]] = {ivs[t]: w if sign > 0 else R.reduce(-w)}
     return Bracket(P, R, table, antisymmetric_mode=True)
 
 
@@ -760,7 +739,7 @@ def lemma_suite(
     rng = random.Random(seed)
     xs = [random_element(P, R, rng) for _ in range(samples)]
     ys = [random_element(P, R, rng) for _ in range(samples)]
-    full = bracket._full_coeffs()
+    full = bracket._full
     axpy, reduce = R.axpy, R.reduce
     empty: dict = {}
     row: dict[Interval, list[tuple[Interval, dict]]] = {}
@@ -771,8 +750,8 @@ def lemma_suite(
     # orthogonal idempotents bracket to zero
     orthogonal = sorted(
         (pos[i.lo], pos[j.lo])
-        for (i, j), coeffs in full.items()
-        if coeffs and i.lo == i.hi and j.lo == j.hi and i != j
+        for i, j in full
+        if i.lo == i.hi and j.lo == j.hi and i != j
     )
     for e, f in orthogonal:
         report.fail("orthogonal_vanishing", {"e": labels[e], "f": labels[f]})

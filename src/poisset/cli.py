@@ -66,51 +66,50 @@ def _count(text: str) -> int:
     return value
 
 
-def _load_json(path: str):
+def _load(path: str, build):
+    """build(data) on the JSON in path; a bad file or content is an input
+    error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-
-
-def _load_poset(path: str) -> Poset:
-    data = _load_json(path)
     try:
-        return Poset.from_json(data)
+        return build(data)
     except (PoissetError, ValueError, TypeError, KeyError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _load_bracket(path: str, poset: Poset, ring: RingSpec) -> Bracket:
-    """Brackets are loaded raw so the checks can report violations."""
-    data = _load_json(path)
-    try:
-        return Bracket.from_json(poset, ring, data, antisymmetric=False)
-    except (PoissetError, ValueError, TypeError, KeyError) as exc:
-        raise _InputError(f"{path}: {exc}") from exc
+def _raw_bracket(args) -> Bracket:
+    """The --bracket table over --poset and --ring, loaded raw so that the
+    checks can report violations."""
+    poset = _load(args.poset, Poset.from_json)
+    ring = _parse_ring(args.ring)
+    return _load(
+        args.bracket, lambda data: Bracket.from_json(poset, ring, data, antisymmetric=False)
+    )
 
 
-def _load_sigma(path: str, poset: Poset, ring: RingSpec) -> SigmaMap:
-    data = _load_json(path)
-    try:
-        return SigmaMap.from_json(poset, ring, data)
-    except (PoissetError, ValueError, TypeError, KeyError) as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-
-
-def _emit(args, data, text: str) -> None:
-    if args.format == "json":
-        payload = json.dumps(data, indent=2) + "\n"
-    else:
-        payload = text if text.endswith("\n") else text + "\n"
+def _write(args, payload: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
         sys.stdout.write(payload)
+
+
+def _emit(args, data, text: str) -> None:
+    if args.format == "json":
+        text = json.dumps(data, indent=2)
+    _write(args, text if text.endswith("\n") else text + "\n")
+
+
+def _refuse(args, exc: PoissetError, what: str) -> int:
+    """Emit the error of an input the command refused; exit code 1."""
+    _emit(args, {"error": type(exc).__name__, "detail": str(exc)}, f"{what}: {exc}")
+    return CHECK_FAILED
 
 
 def _report_text(records: list[dict]) -> str:
@@ -138,7 +137,7 @@ def _sigma_text(sigma: SigmaMap) -> str:
 
 
 def _cmd_poset_info(args) -> int:
-    poset = _load_poset(args.poset)
+    poset = _load(args.poset, Poset.from_json)
     data = {
         "elements": list(poset.elements),
         "covers": [list(c) for c in poset.covers],
@@ -166,7 +165,7 @@ def _cmd_poset_info(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    poset = _load_poset(args.poset)
+    poset = _load(args.poset, Poset.from_json)
     data = {
         "connected": [list(c) for c in poset.connected_components()],
         "chain_components": [
@@ -184,17 +183,12 @@ def _cmd_components(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    poset = _load_poset(args.poset)
+    poset = _load(args.poset, Poset.from_json)
     ring = _parse_ring(args.ring)
     try:
         report = classify(poset, ring)
     except BijectionViolation as exc:
-        _emit(
-            args,
-            {"error": "BijectionViolation", "detail": str(exc)},
-            f"bijection violated: {exc}",
-        )
-        return CHECK_FAILED
+        return _refuse(args, exc, "bijection violated")
     data = report.to_json()
     lines = [
         f"dimension: {data['dimension']}",
@@ -209,9 +203,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    poset = _load_poset(args.poset)
-    ring = _parse_ring(args.ring)
-    bracket = _load_bracket(args.bracket, poset, ring)
+    bracket = _raw_bracket(args)
     reports = [
         check_antisymmetric(bracket),
         check_biderivation(bracket),
@@ -225,18 +217,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_from_sigma(args) -> int:
-    poset = _load_poset(args.poset)
+    poset = _load(args.poset, Poset.from_json)
     ring = _parse_ring(args.ring)
-    sigma = _load_sigma(args.sigma, poset, ring)
+    sigma = _load(args.sigma, lambda data: SigmaMap.from_json(poset, ring, data))
     try:
         bracket = from_sigma(sigma)
     except NotChainConstant as exc:
-        _emit(
-            args,
-            {"error": "NotChainConstant", "detail": str(exc)},
-            f"not chain-constant: {exc}",
-        )
-        return CHECK_FAILED
+        return _refuse(args, exc, "not chain-constant")
     data = bracket.to_json()
     lines = [
         f"B(e[{p['left']['lo']},{p['left']['hi']}], e[{p['right']['lo']},{p['right']['hi']}]) = "
@@ -248,35 +235,21 @@ def _cmd_from_sigma(args) -> int:
 
 
 def _cmd_extract_sigma(args) -> int:
-    poset = _load_poset(args.poset)
-    ring = _parse_ring(args.ring)
-    bracket = _load_bracket(args.bracket, poset, ring)
+    bracket = _raw_bracket(args)
     try:
         sigma = extract_sigma(bracket)
     except NotABiderivation as exc:
-        _emit(
-            args,
-            {"error": "NotABiderivation", "detail": str(exc)},
-            f"not an antisymmetric biderivation: {exc}",
-        )
-        return CHECK_FAILED
+        return _refuse(args, exc, "not an antisymmetric biderivation")
     _emit(args, sigma.to_json(), _sigma_text(sigma))
     return 0
 
 
 def _cmd_is_standard(args) -> int:
-    poset = _load_poset(args.poset)
-    ring = _parse_ring(args.ring)
-    bracket = _load_bracket(args.bracket, poset, ring)
+    bracket = _raw_bracket(args)
     try:
         witness = is_standard(bracket)
     except NotABiderivation as exc:
-        _emit(
-            args,
-            {"error": "NotABiderivation", "detail": str(exc)},
-            f"not an antisymmetric biderivation: {exc}",
-        )
-        return CHECK_FAILED
+        return _refuse(args, exc, "not an antisymmetric biderivation")
     if witness is None:
         _emit(args, {"standard": False, "lambda": None}, "not standard")
     else:
@@ -289,9 +262,7 @@ def _cmd_is_standard(args) -> int:
 
 
 def _cmd_lemma_suite(args) -> int:
-    poset = _load_poset(args.poset)
-    ring = _parse_ring(args.ring)
-    bracket = _load_bracket(args.bracket, poset, ring)
+    bracket = _raw_bracket(args)
     report = lemma_suite(bracket, samples=args.samples, seed=args.seed)
     records = report.to_json()
     verdict = "all lemmas pass" if report.ok else "violations found"
@@ -300,13 +271,8 @@ def _cmd_lemma_suite(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    poset = _load_poset(args.poset)
-    dot = poset.to_dot()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(dot)
-    else:
-        sys.stdout.write(dot)
+    poset = _load(args.poset, Poset.from_json)
+    _write(args, poset.to_dot())
     return 0
 
 
@@ -380,10 +346,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except _InputError as exc:
-        print(f"poisset: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except NotAField as exc:
+    except (_InputError, NotAField) as exc:
         print(f"poisset: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except PoissetError as exc:

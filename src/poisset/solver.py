@@ -28,7 +28,6 @@ classify() then cross-checks the two against each other.
 
 from __future__ import annotations
 
-from .algebra import IncidenceElement
 from .bracket import (
     Bracket,
     SigmaMap,
@@ -37,7 +36,7 @@ from .bracket import (
     extract_sigma,
     from_sigma,
 )
-from .coeff import Echelon, RingSpec, Scalar
+from .coeff import Echelon, RingSpec
 from .errors import BijectionViolation, NotAField, RingMismatch
 from .poset import Interval, Poset
 
@@ -211,18 +210,13 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
 
 
 def _vector_to_bracket(system: LinearSystem, vector: dict[int, object]) -> Bracket:
+    """The bracket of a solution vector of canonical nonzero raw values."""
     n = len(system.intervals)
-    ring = system.ring
-    table: dict[tuple[Interval, Interval], IncidenceElement] = {}
-    per_pair: dict[int, dict[Interval, Scalar]] = {}
+    table: dict[tuple[Interval, Interval], dict] = {}
     for col, value in vector.items():
         r, k = divmod(col, n)
-        scalar = ring.scalar(value)
-        if not scalar.is_zero():
-            per_pair.setdefault(r, {})[system.intervals[k]] = scalar
-    for r, coeffs in per_pair.items():
-        table[system.pairs[r]] = IncidenceElement(system.poset, ring, coeffs)
-    return Bracket(system.poset, ring, table, antisymmetric_mode=True)
+        table.setdefault(system.pairs[r], {})[system.intervals[k]] = value
+    return Bracket(system.poset, system.ring, table, antisymmetric_mode=True)
 
 
 def _bracket_to_vector(system: LinearSystem, bracket: Bracket) -> dict[int, object]:
@@ -230,10 +224,10 @@ def _bracket_to_vector(system: LinearSystem, bracket: Bracket) -> dict[int, obje
         raise RingMismatch("bracket ring differs from the system's field")
     n = len(system.intervals)
     vector: dict[int, object] = {}
-    for (i, j) in bracket.stored_pairs():
-        r = system.pair_rank[(i, j)]
-        for k, c in bracket.value(i, j).coeffs.items():
-            vector[r * n + system.interval_rank[k]] = c.value
+    for pair in bracket.stored_pairs():
+        r = system.pair_rank[pair]
+        for k, v in bracket._full[pair].items():
+            vector[r * n + system.interval_rank[k]] = v
     return vector
 
 

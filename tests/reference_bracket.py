@@ -53,7 +53,7 @@ def check_antisymmetric(bracket) -> CheckReport:
     """B(e_i, e_i) = 0 and B(e_i, e_j) + B(e_j, e_i) = 0 for all pairs."""
     report = CheckReport("antisymmetry")
     ivs = bracket.poset.intervals()
-    full = bracket._full_coeffs()
+    full = bracket._full
     empty: dict = {}
     for i in ivs:
         if full.get((i, i)):
@@ -87,7 +87,7 @@ def check_biderivation(bracket) -> CheckReport:
     P = bracket.poset
     ivs = P.intervals()
     prod = _basis_products(P)
-    full = bracket._full_coeffs()
+    full = bracket._full
     axpy = bracket.ring.axpy
     empty: dict = {}
     antisym = check_antisymmetric(bracket).ok
@@ -151,7 +151,7 @@ def check_jacobi(bracket) -> CheckReport:
     """B(a, B(b, c)) + B(b, B(c, a)) + B(c, B(a, b)) = 0 on basis triples."""
     report = CheckReport("jacobi")
     ivs = bracket.poset.intervals()
-    full = bracket._full_coeffs()
+    full = bracket._full
     axpy = bracket.ring.axpy
     empty: dict = {}
 

@@ -182,6 +182,37 @@ class TestBracketTable:
         with pytest.raises(InconsistentAntisymmetry):
             Bracket.from_basis_table(CROWN, Q, table)
 
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_zero_against_nonzero_mirror_rejected_in_either_order(self, zero_first):
+        chain2 = make_chain(2)
+        e11, e12 = Interval("1", "1"), Interval("1", "2")
+        entries = [((e11, e12), el(chain2, {})), ((e12, e11), el(chain2, {("1", "2"): 1}))]
+        if not zero_first:
+            entries.reverse()
+        with pytest.raises(InconsistentAntisymmetry):
+            Bracket.from_basis_table(chain2, Q, dict(entries))
+
+    def test_stored_pairs_and_repr_in_both_storages(self):
+        bracket = from_sigma(crown_sigma(1, 2, 3, 4))
+        half = [
+            ("11", "13"), ("11", "14"), ("13", "33"), ("14", "44"),
+            ("22", "23"), ("22", "24"), ("23", "33"), ("24", "44"),
+        ]
+        full = [
+            ("11", "13"), ("11", "14"), ("13", "11"), ("13", "33"),
+            ("14", "11"), ("14", "44"), ("22", "23"), ("22", "24"),
+            ("23", "22"), ("23", "33"), ("24", "22"), ("24", "44"),
+            ("33", "13"), ("33", "23"), ("44", "14"), ("44", "24"),
+        ]
+        raw = Bracket.from_json(CROWN, Q, bracket.to_json(), antisymmetric=False)
+        for b, pairs, text in [
+            (bracket, half, "Bracket(antisymmetric, 8 stored pairs)"),
+            (raw, full, "Bracket(raw, 16 stored pairs)"),
+        ]:
+            assert b.stored_pairs() == [(Interval(*i), Interval(*j)) for i, j in pairs]
+            assert repr(b) == text
+        assert raw.to_json() == bracket.to_json()
+
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(InconsistentAntisymmetry):
             Bracket.from_basis_table(
@@ -786,10 +817,9 @@ def corrupted_sigma_tables(draw, rings=RINGS):
     poset = draw(posets(max_size=5))
     ring = draw(st.sampled_from(rings))
     bracket = from_sigma(random_sigma(poset, ring, random.Random(draw(st.integers(0, 999)))))
-    table = dict(bracket._table)
     antisymmetric = draw(st.booleans())
-    if not antisymmetric:
-        table.update({(j, i): -v for (i, j), v in bracket._table.items()})
+    pairs = bracket.stored_pairs() if antisymmetric else bracket._full
+    table = {p: bracket.value(*p) for p in pairs}
     if table:
         pair = draw(st.sampled_from(list(table)))
         target = draw(st.sampled_from(poset.intervals()))
@@ -824,8 +854,7 @@ class TestAgainstReference:
             values.update(dict.fromkeys(cls, value))
         bracket = from_sigma(SigmaMap(poset, Q, values))
         assert_same_reports(bracket)
-        table = dict(bracket._table)
-        table.update({(j, i): -v for (i, j), v in bracket._table.items()})
+        table = {p: bracket.value(*p) for p in bracket._full}
         ivs = poset.intervals()
         pair = (rng.choice(ivs), rng.choice(ivs))
         table[pair] = table.get(pair, IncidenceElement.zero(poset, Q)) + el(
@@ -971,8 +1000,7 @@ class TestLemmaSuiteAgainstReference:
         rng = random.Random(11)
         bracket = from_sigma(random_sigma(poset, ring, rng))
         # the same table with one coefficient changed, in raw storage
-        corrupted = dict(bracket._table)
-        corrupted.update({(j, i): -v for (i, j), v in bracket._table.items()})
+        corrupted = {p: bracket.value(*p) for p in bracket._full}
         ivs = poset.intervals()
         pair = (rng.choice(ivs), rng.choice(ivs))
         corrupted[pair] = corrupted.get(pair, IncidenceElement.zero(poset, ring)) + el(
