@@ -171,8 +171,9 @@ class Bracket:
     The table maps each ordered pair (i, j) with B(e_i, e_j) nonzero to its
     coefficients as raw ring values; a missing pair reads as zero.  In
     antisymmetric mode the caller gives only the pairs with i before j in
-    the canonical interval order and the constructor adds the mirrors,
-    B(e_j, e_i) = -B(e_i, e_j); the diagonal is zero.  In raw mode the table
+    the canonical interval order (any other key raises InvalidPair) and the
+    constructor adds the mirrors, B(e_j, e_i) = -B(e_i, e_j); the diagonal
+    is zero.  In raw mode the table
     is kept as given; this is how unvalidated input is held so that the
     checks can report its violations.  Callers must not mutate the table.
     """
@@ -191,8 +192,13 @@ class Bracket:
         self.antisymmetric_mode = antisymmetric_mode
         self._zero = IncidenceElement.zero(poset, ring)
         if antisymmetric_mode:
+            rank = poset.interval_index
             full: dict[tuple[Interval, Interval], dict] = {}
             for (i, j), values in table.items():
+                if rank(i) >= rank(j):
+                    raise InvalidPair(
+                        f"antisymmetric storage needs i before j, got ({i}, {j})"
+                    )
                 full[i, j] = values
                 full[j, i] = mirrored = {}
                 ring.axpy(mirrored, values, -1)

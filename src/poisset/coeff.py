@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -357,22 +356,11 @@ class Echelon:
         out = dict(row)
         rows, axpy = self.rows, self.ring.axpy
         # a stored row is zero left of its pivot, so clearing the pivots in
-        # ascending order never refills one already cleared; only the pivot
-        # columns of row and of the rows subtracted can be reached, and a
-        # heap hands them out in that order
-        queue = [col for col in out if col in rows]
-        heapify(queue)
-        queued = set(queue)
-        while queue:
-            pivot = heappop(queue)
+        # ascending order never refills one already cleared
+        for pivot in sorted(rows):
             c = out.get(pivot)
             if c:
-                pivot_row = rows[pivot]
-                axpy(out, pivot_row, -c)
-                for col in pivot_row:
-                    if col in rows and col not in queued:
-                        queued.add(col)
-                        heappush(queue, col)
+                axpy(out, rows[pivot], -c)
         return out
 
     def back_substitute(self) -> None:

@@ -224,10 +224,10 @@ def _bracket_to_vector(system: LinearSystem, bracket: Bracket) -> dict[int, obje
         raise RingMismatch("bracket ring differs from the system's field")
     n = len(system.intervals)
     vector: dict[int, object] = {}
-    for pair in bracket.stored_pairs():
-        r = system.pair_rank[pair]
-        for k, v in bracket._full[pair].items():
-            vector[r * n + system.interval_rank[k]] = v
+    for (i, j) in bracket.stored_pairs():
+        r = system.pair_rank[(i, j)]
+        for k, c in bracket.value(i, j).coeffs.items():
+            vector[r * n + system.interval_rank[k]] = c.value
     return vector
 
 

@@ -213,6 +213,15 @@ class TestBracketTable:
             assert repr(b) == text
         assert raw.to_json() == bracket.to_json()
 
+    @pytest.mark.parametrize("key", [("13", "13"), ("33", "13")])
+    def test_constructor_takes_only_pairs_with_i_before_j(self, key):
+        # a diagonal or reversed key would be overwritten by its own mirror
+        i, j = (Interval(*k) for k in key)
+        with pytest.raises(InvalidPair):
+            Bracket(CROWN, Q, {(i, j): {Interval("1", "3"): 1}}, antisymmetric_mode=True)
+        raw = Bracket(CROWN, Q, {(i, j): {Interval("1", "3"): 1}}, antisymmetric_mode=False)
+        assert raw.value(i, j) == el(CROWN, {("1", "3"): 1})
+
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(InconsistentAntisymmetry):
             Bracket.from_basis_table(

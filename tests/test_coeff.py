@@ -411,18 +411,3 @@ class TestKernel:
             assert (not residue) == (rank == echelon.rank)
             assert all(residue.values())
         assert not echelon.residue(combo)
-
-    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
-    @given(data=st.data())
-    def test_residue_matches_the_sorted_pivot_loop(self, ring, data):
-        # the definition: clear every pivot column in ascending order
-        ncols, rows = data.draw(sparse_matrices(ring))
-        echelon = echelon_of(ring, rows)
-        _, probes = data.draw(sparse_matrices(ring))
-        for probe in probes + rows:
-            want = dict(probe)
-            for pivot in sorted(echelon.rows):
-                c = want.get(pivot)
-                if c:
-                    ring.axpy(want, echelon.rows[pivot], -c)
-            assert echelon.residue(probe) == want
