@@ -72,7 +72,7 @@ class IncidenceElement:
 
     def support(self) -> tuple[Interval, ...]:
         """Intervals with nonzero coefficient, in canonical order."""
-        return tuple(iv for iv in self.poset.intervals() if iv in self.coeffs)
+        return tuple(sorted(self.coeffs, key=self.poset.interval_index))
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -76,43 +76,33 @@ def _load(path: str, build):
         raise _InputError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # too deeply nested, or a number literal past the int-digit limit
+        raise _InputError(f"{path}: {exc}") from exc
     try:
         return build(data)
     except (PoissetError, ValueError, TypeError, KeyError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _raw_bracket(args) -> Bracket:
-    """The --bracket table over --poset and --ring, loaded raw so that the
+def _raw_bracket(args, poset: Poset) -> Bracket:
+    """The --bracket table over the poset and --ring, loaded raw so that the
     checks can report violations."""
-    poset = _load(args.poset, Poset.from_json)
     ring = _parse_ring(args.ring)
     return _load(
         args.bracket, lambda data: Bracket.from_json(poset, ring, data, antisymmetric=False)
     )
 
 
-def _write(args, payload: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+def _refusal(exc: PoissetError, what: str):
+    """The outcome of an input the command refused: exit code 1."""
+    return CHECK_FAILED, {"error": type(exc).__name__, "detail": str(exc)}, f"{what}: {exc}"
 
 
-def _emit(args, data, text: str) -> None:
-    if args.format == "json":
-        text = json.dumps(data, indent=2)
-    _write(args, text if text.endswith("\n") else text + "\n")
-
-
-def _refuse(args, exc: PoissetError, what: str) -> int:
-    """Emit the error of an input the command refused; exit code 1."""
-    _emit(args, {"error": type(exc).__name__, "detail": str(exc)}, f"{what}: {exc}")
-    return CHECK_FAILED
-
-
-def _report_text(records: list[dict]) -> str:
+def _checks_outcome(reports, verdict: str):
+    """The records of the check reports, their text with the verdict line,
+    and exit code 1 if any check failed."""
+    records = [record for report in reports for record in report.to_json()]
     lines = []
     for record in records:
         if record["status"] == "pass":
@@ -121,7 +111,9 @@ def _report_text(records: list[dict]) -> str:
             lines.append(f"{record['check']}: pass{suffix}")
         else:
             lines.append(f"{record['check']}: FAIL at {record['instance']}")
-    return "\n".join(lines)
+    ok = all(report.ok for report in reports)
+    text = "\n".join(lines) + "\n" + (verdict if ok else "violations found")
+    return (0 if ok else CHECK_FAILED), records, text
 
 
 def _sigma_text(sigma: SigmaMap) -> str:
@@ -133,11 +125,10 @@ def _sigma_text(sigma: SigmaMap) -> str:
     )
 
 
-# -- command handlers --------------------------------------------------------
+# -- command handlers: (args, poset) -> (exit code, JSON data, text) ----------
 
 
-def _cmd_poset_info(args) -> int:
-    poset = _load(args.poset, Poset.from_json)
+def _cmd_poset_info(args, poset: Poset):
     data = {
         "elements": list(poset.elements),
         "covers": [list(c) for c in poset.covers],
@@ -160,12 +151,10 @@ def _cmd_poset_info(args) -> int:
             f"maximal chain overlap: {data['maximal_chain_overlap']}",
         ]
     )
-    _emit(args, data, text)
-    return 0
+    return 0, data, text
 
 
-def _cmd_components(args) -> int:
-    poset = _load(args.poset, Poset.from_json)
+def _cmd_components(args, poset: Poset):
     data = {
         "connected": [list(c) for c in poset.connected_components()],
         "chain_components": [
@@ -178,17 +167,15 @@ def _cmd_components(args) -> int:
     lines.append("chain components of strict pairs:")
     for cls in data["chain_components"]:
         lines.append("  " + " ".join(f"({lo},{hi})" for lo, hi in cls))
-    _emit(args, data, "\n".join(lines))
-    return 0
+    return 0, data, "\n".join(lines)
 
 
-def _cmd_classify(args) -> int:
-    poset = _load(args.poset, Poset.from_json)
+def _cmd_classify(args, poset: Poset):
     ring = _parse_ring(args.ring)
     try:
         report = classify(poset, ring)
     except BijectionViolation as exc:
-        return _refuse(args, exc, "bijection violated")
+        return _refusal(exc, "bijection violated")
     data = report.to_json()
     lines = [
         f"dimension: {data['dimension']}",
@@ -198,82 +185,60 @@ def _cmd_classify(args) -> int:
     for pos, sigma in enumerate(report.sigmas):
         lines.append(f"basis vector {pos}:")
         lines.extend("  " + line for line in _sigma_text(sigma).split("\n"))
-    _emit(args, data, "\n".join(lines))
-    return 0
+    return 0, data, "\n".join(lines)
 
 
-def _cmd_verify(args) -> int:
-    bracket = _raw_bracket(args)
-    reports = [
-        check_antisymmetric(bracket),
-        check_biderivation(bracket),
-        check_jacobi(bracket),
-    ]
-    records = [record for report in reports for record in report.to_json()]
-    ok = all(report.ok for report in reports)
-    verdict = "all checks pass" if ok else "violations found"
-    _emit(args, records, _report_text(records) + f"\n{verdict}")
-    return 0 if ok else CHECK_FAILED
+def _cmd_verify(args, poset: Poset):
+    bracket = _raw_bracket(args, poset)
+    checks = (check_antisymmetric, check_biderivation, check_jacobi)
+    return _checks_outcome([check(bracket) for check in checks], "all checks pass")
 
 
-def _cmd_from_sigma(args) -> int:
-    poset = _load(args.poset, Poset.from_json)
+def _cmd_from_sigma(args, poset: Poset):
     ring = _parse_ring(args.ring)
     sigma = _load(args.sigma, lambda data: SigmaMap.from_json(poset, ring, data))
     try:
         bracket = from_sigma(sigma)
     except NotChainConstant as exc:
-        return _refuse(args, exc, "not chain-constant")
+        return _refusal(exc, "not chain-constant")
     data = bracket.to_json()
     lines = [
         f"B(e[{p['left']['lo']},{p['left']['hi']}], e[{p['right']['lo']},{p['right']['hi']}]) = "
         + " + ".join(f"{e['coeff']}*e[{e['lo']},{e['hi']}]" for e in p["value"])
         for p in data["pairs"]
     ]
-    _emit(args, data, "\n".join(lines) if lines else "zero bracket")
-    return 0
+    return 0, data, "\n".join(lines) if lines else "zero bracket"
 
 
-def _cmd_extract_sigma(args) -> int:
-    bracket = _raw_bracket(args)
+def _cmd_extract_sigma(args, poset: Poset):
+    bracket = _raw_bracket(args, poset)
     try:
         sigma = extract_sigma(bracket)
     except NotABiderivation as exc:
-        return _refuse(args, exc, "not an antisymmetric biderivation")
-    _emit(args, sigma.to_json(), _sigma_text(sigma))
-    return 0
+        return _refusal(exc, "not an antisymmetric biderivation")
+    return 0, sigma.to_json(), _sigma_text(sigma)
 
 
-def _cmd_is_standard(args) -> int:
-    bracket = _raw_bracket(args)
+def _cmd_is_standard(args, poset: Poset):
+    bracket = _raw_bracket(args, poset)
     try:
         witness = is_standard(bracket)
     except NotABiderivation as exc:
-        return _refuse(args, exc, "not an antisymmetric biderivation")
+        return _refusal(exc, "not an antisymmetric biderivation")
     if witness is None:
-        _emit(args, {"standard": False, "lambda": None}, "not standard")
-    else:
-        _emit(
-            args,
-            {"standard": True, "lambda": witness.to_json()},
-            f"standard with lambda = {witness!r}",
-        )
-    return 0
+        return 0, {"standard": False, "lambda": None}, "not standard"
+    data = {"standard": True, "lambda": witness.to_json()}
+    return 0, data, f"standard with lambda = {witness!r}"
 
 
-def _cmd_lemma_suite(args) -> int:
-    bracket = _raw_bracket(args)
+def _cmd_lemma_suite(args, poset: Poset):
+    bracket = _raw_bracket(args, poset)
     report = lemma_suite(bracket, samples=args.samples, seed=args.seed)
-    records = report.to_json()
-    verdict = "all lemmas pass" if report.ok else "violations found"
-    _emit(args, records, _report_text(records) + f"\n{verdict}")
-    return 0 if report.ok else CHECK_FAILED
+    return _checks_outcome([report], "all lemmas pass")
 
 
-def _cmd_export_dot(args) -> int:
-    poset = _load(args.poset, Poset.from_json)
-    _write(args, poset.to_dot())
-    return 0
+def _cmd_export_dot(args, poset: Poset):
+    return 0, None, poset.to_dot()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,77 +246,62 @@ def build_parser() -> argparse.ArgumentParser:
         prog="poisset",
         description="Classify Poisson structures on incidence algebras of finite posets.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--poset", required=True, help="poset JSON file")
-    common.add_argument(
-        "--ring", default="Q", help="coefficient ring: Q, Z, or Z/m (default Q)"
-    )
-    common.add_argument(
-        "--format", choices=("json", "text"), default="text", help="output format"
-    )
-    common.add_argument("--output", help="write output to this file")
-
+    # parents in the order the usage line lists their flags
+    groups = [argparse.ArgumentParser(add_help=False) for _ in range(7)]
+    poset, ring, fmt, output, sigma, bracket, samples = groups
+    poset.add_argument("--poset", required=True, help="poset JSON file")
+    ring.add_argument("--ring", default="Q", help="coefficient ring: Q, Z, or Z/m (default Q)")
+    fmt.add_argument("--format", choices=("json", "text"), default="text", help="output format")
+    output.add_argument("--output", help="write output to this file")
+    sigma.add_argument("--sigma", required=True, help="sigma JSON file")
+    bracket.add_argument("--bracket", required=True, help="bracket JSON file")
+    samples.add_argument("--samples", type=_count, default=20, help="random elements per lemma")
+    samples.add_argument("--seed", type=int, default=0, help="random seed")
+    summary, computed = [poset, fmt, output], [poset, ring, fmt, output]
+    checked = [*computed, bracket]
+    commands = [
+        ("poset-info", _cmd_poset_info, summary, "order-theoretic summary"),
+        ("components", _cmd_components, summary, "connected and chain components"),
+        ("classify", _cmd_classify, computed, "solve for all Poisson structures"),
+        ("verify", _cmd_verify, checked, "check a bracket table"),
+        ("from-sigma", _cmd_from_sigma, [*computed, sigma], "bracket from a sigma map"),
+        ("extract-sigma", _cmd_extract_sigma, checked, "sigma map of a verified bracket"),
+        ("is-standard", _cmd_is_standard, checked, "test whether B = lambda [.,.]"),
+        ("lemma-suite", _cmd_lemma_suite, [*checked, samples], "idempotent identity suite"),
+        ("export-dot", _cmd_export_dot, [poset, output], "Hasse diagram as DOT"),
+    ]
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("poset-info", parents=[common], help="order-theoretic summary")
-    sub.add_parser("components", parents=[common], help="connected and chain components")
-    sub.add_parser(
-        "classify", parents=[common], help="solve for all Poisson structures"
-    )
-
-    p = sub.add_parser("verify", parents=[common], help="check a bracket table")
-    p.add_argument("--bracket", required=True, help="bracket JSON file")
-
-    p = sub.add_parser("from-sigma", parents=[common], help="bracket from a sigma map")
-    p.add_argument("--sigma", required=True, help="sigma JSON file")
-
-    p = sub.add_parser(
-        "extract-sigma", parents=[common], help="sigma map of a verified bracket"
-    )
-    p.add_argument("--bracket", required=True, help="bracket JSON file")
-
-    p = sub.add_parser(
-        "is-standard", parents=[common], help="test whether B = lambda [.,.]"
-    )
-    p.add_argument("--bracket", required=True, help="bracket JSON file")
-
-    p = sub.add_parser(
-        "lemma-suite", parents=[common], help="idempotent identity suite"
-    )
-    p.add_argument("--bracket", required=True, help="bracket JSON file")
-    p.add_argument(
-        "--samples", type=_count, default=20, help="random elements per lemma"
-    )
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-
-    sub.add_parser("export-dot", parents=[common], help="Hasse diagram as DOT")
+    for name, handler, parents, help_text in commands:
+        sub.add_parser(name, parents=parents, help=help_text).set_defaults(handler=handler)
     return parser
 
 
-_HANDLERS = {
-    "poset-info": _cmd_poset_info,
-    "components": _cmd_components,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "from-sigma": _cmd_from_sigma,
-    "extract-sigma": _cmd_extract_sigma,
-    "is-standard": _cmd_is_standard,
-    "lemma-suite": _cmd_lemma_suite,
-    "export-dot": _cmd_export_dot,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv, load --poset, run the command and write its outcome:
+    the JSON data under --format json, else the text, to stdout or --output."""
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code, data, text = args.handler(args, _load(args.poset, Poset.from_json))
     except (_InputError, NotAField) as exc:
         print(f"poisset: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except PoissetError as exc:
         print(f"poisset: {type(exc).__name__}: {exc}", file=sys.stderr)
         return CHECK_FAILED
+    if getattr(args, "format", "text") == "json":
+        text = json.dumps(data, indent=2)
+    if not text.endswith("\n"):
+        text += "\n"
+    if not args.output:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"poisset: {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return USAGE_ERROR
+    return code
 
 
 if __name__ == "__main__":

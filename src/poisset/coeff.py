@@ -132,7 +132,7 @@ class RingSpec:
     def axpy(self, acc: dict, x: Mapping, a) -> None:
         """acc += a * x over raw values, in place; entries that become zero
         are dropped, so acc never stores a zero."""
-        if not x:  # most calls from the Leibniz check
+        if not x:
             return
         get = acc.get
         m = self.modulus

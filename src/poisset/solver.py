@@ -31,13 +31,11 @@ from __future__ import annotations
 from .bracket import (
     Bracket,
     SigmaMap,
-    check_antisymmetric,
-    check_biderivation,
     extract_sigma,
     from_sigma,
 )
 from .coeff import Echelon, RingSpec
-from .errors import BijectionViolation, NotAField, RingMismatch
+from .errors import BijectionViolation, NotABiderivation, NotAField, RingMismatch
 from .poset import Interval, Poset
 
 
@@ -300,9 +298,10 @@ def classify(poset: Poset, field: RingSpec) -> ClassificationReport:
 
     sigmas = []
     for vector in basis.vectors:
-        if not check_antisymmetric(vector).ok or not check_biderivation(vector).ok:
-            raise BijectionViolation("solver vector fails a bracket check")
-        sigma = extract_sigma(vector, check=False)
+        try:
+            sigma = extract_sigma(vector)
+        except NotABiderivation:
+            raise BijectionViolation("solver vector fails a bracket check") from None
         if not sigma.is_chain_constant():
             raise BijectionViolation("solver vector's sigma is not chain-constant")
         if from_sigma(sigma) != vector:

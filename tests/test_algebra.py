@@ -7,9 +7,9 @@ the diamond before being frozen here.
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import corpus_params, crown_plus_chain3, diamond
+from conftest import corpus_params, crown_plus_chain3, diamond, posets
 from poisset import (
     INTEGERS,
     RATIONALS,
@@ -374,3 +374,12 @@ class TestRandomElements:
         for _ in range(5):
             f = random_element(poset, RATIONALS, rng, density=0.9)
             assert set(f.support()) <= set(poset.intervals())
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_support_matches_the_interval_scan(self, data):
+        poset = data.draw(posets())
+        f = data.draw(elements(poset))
+        for g in (f, IncidenceElement.zero(poset, RATIONALS)):
+            scan = tuple(iv for iv in poset.intervals() if iv in g.coeffs)
+            assert g.support() == scan

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fence3
 from poisset import SigmaMap, RATIONALS, from_sigma, make_chain, make_crown
-from poisset.cli import main
+from poisset.cli import build_parser, main
 
 CROWN = make_crown()
 
@@ -398,6 +398,68 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--samples: must be >= 0" in err
         assert main([*argv, "--samples", "0"]) == 0
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_output_exits_2(self, crown_file, tmp_path, capsys, target):
+        output = str(tmp_path / target)
+        argv = ["poset-info", "--poset", crown_file, "--format", "json", "--output", output]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"poisset: {output}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content",
+        ["[" * 200_000, '{"elements": [' + "7" * 5000 + '], "covers": []}'],
+        ids=["nested-too-deep", "long-number-literal"],
+    )
+    def test_json_the_decoder_refuses_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "poset.json"
+        path.write_text(content, encoding="utf-8")
+        assert main(["poset-info", "--poset", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"poisset: {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("poset-info", "--ring", "Q"),
+            ("components", "--ring", "Q"),
+            ("export-dot", "--ring", "Q"),
+            ("export-dot", "--format", "text"),
+        ],
+    )
+    def test_flags_a_command_does_not_read_exit_2(self, crown_file, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--poset", crown_file, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("poset-info", {"format": "json"}),
+            ("components", {"format": "json"}),
+            ("classify", {"format": "json", "ring": "Z/5"}),
+            ("verify", {"format": "json", "ring": "Z", "bracket": "b.json"}),
+            ("from-sigma", {"format": "json", "ring": "Z", "sigma": "s.json"}),
+            ("extract-sigma", {"format": "json", "ring": "Z", "bracket": "b.json"}),
+            ("is-standard", {"format": "json", "ring": "Z", "bracket": "b.json"}),
+            (
+                "lemma-suite",
+                {"format": "json", "ring": "Z", "bracket": "b.json", "samples": 3, "seed": 4},
+            ),
+            ("export-dot", {}),
+        ],
+    )
+    def test_kept_flags_parse(self, command, flags):
+        flags = {"poset": "p.json", "output": "o.txt", **flags}
+        argv = [command]
+        for name, value in flags.items():
+            argv += [f"--{name}", str(value)]
+        args = build_parser().parse_args(argv)
+        assert {name: getattr(args, name) for name in flags} == flags
 
     def test_fence_components_render(self, tmp_path, capsys):
         poset_file = write(tmp_path, "fence.json", fence3().to_json())

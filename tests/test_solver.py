@@ -8,6 +8,7 @@ treat any mismatch as a hard failure.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -245,6 +246,22 @@ class TestSolutionVectors:
 
 
 class TestClassify:
+    def test_one_antisymmetry_pass_per_basis_vector(self):
+        # extract_sigma's check gates each vector; check_biderivation would
+        # run check_antisymmetric a second time
+        target, calls = check_antisymmetric.__code__, []
+
+        def spy(frame, event, arg):
+            if event == "call" and frame.f_code is target:
+                calls.append(1)
+
+        sys.setprofile(spy)
+        try:
+            report = classify(make_crown(), RATIONALS)
+        finally:
+            sys.setprofile(None)
+        assert report.dimension == 4 and len(calls) == 4
+
     def test_crown_over_rationals(self):
         report = classify(make_crown(), Q)
         assert report.dimension == 4
