@@ -77,7 +77,7 @@ def _load(path: str, build):
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:
-        # too deeply nested, or a number literal past the int-digit limit
+        # nested too deeply, a number past the int-digit limit, or not UTF-8
         raise _InputError(f"{path}: {exc}") from exc
     try:
         return build(data)

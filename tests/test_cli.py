@@ -410,12 +410,16 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "content",
-        ["[" * 200_000, '{"elements": [' + "7" * 5000 + '], "covers": []}'],
-        ids=["nested-too-deep", "long-number-literal"],
+        [
+            b"[" * 200_000,
+            b'{"elements": [' + b"7" * 5000 + b'], "covers": []}',
+            b'\xff{"elements": [], "covers": []}',
+        ],
+        ids=["nested-too-deep", "long-number-literal", "not-utf8"],
     )
     def test_json_the_decoder_refuses_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "poset.json"
-        path.write_text(content, encoding="utf-8")
+        path.write_bytes(content)
         assert main(["poset-info", "--poset", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"poisset: {path}: ") and err.count("\n") == 1

@@ -247,8 +247,7 @@ class TestSolutionVectors:
 
 class TestClassify:
     def test_one_antisymmetry_pass_per_basis_vector(self):
-        # extract_sigma's check gates each vector; check_biderivation would
-        # run check_antisymmetric a second time
+        # calls are counted by code object, so every imported name is seen
         target, calls = check_antisymmetric.__code__, []
 
         def spy(frame, event, arg):
