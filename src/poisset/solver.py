@@ -1,6 +1,6 @@
 """Brute-force oracle for antisymmetric biderivations over a field.
 
-The unknowns are the coefficients B(e_i, e_j)(k) for ordered basis pairs
+The unknowns are the coefficients B(e_i, e_j)(e_t) for ordered basis pairs
 with i before j in canonical interval order; antisymmetry is built in by
 rewriting B(e_j, e_i) as -B(e_i, e_j) and B(e_i, e_i) as 0.  Every basis
 triple (a, b, c) contributes the coefficient-level rows of the first
@@ -9,48 +9,52 @@ identity, B(a, bc) - B(a, b) e_c - e_b B(a, c) = 0, adds nothing: rewritten
 by antisymmetry it is -(B(bc, a) - B(b, a) e_c - e_b B(c, a)), the first
 identity at the triple (b, c, a), so it yields the same rows up to sign.
 
-Rows are presolved as they are generated.  Most have a single entry,
-+-x_c = 0, and only add c to a set of columns fixed at zero; no row is
-stored for them.  Every other row drops its fixed columns; if one entry
-is left, that column is fixed too, otherwise the row is eliminated at
-once against the stored echelon rows.  At the end the fixed columns are
-substituted into the stored rows, which are re-reduced until no new
-single-entry row appears.  This is Gaussian elimination in another order:
-x_c = 0 is itself a row of the system, so the unit rows of the fixed
-columns together with the stored rows span exactly the streamed rows, and
-no fact about chain components is used.  The reduced row echelon form of
-the system, which is unique, is those unit rows plus the reduced stored
-rows; rank, free columns and basis vectors do not depend on the order.
-The nullspace of the system is exactly the module of antisymmetric
-biderivations, computed with no reference to the chain classification;
-classify() then cross-checks the two against each other.
+Most unknowns are zero by a single row.  If t.lo != i.lo and t.hi != i.hi,
+the row of the triple (e_xx, e_i, e_j), x = t.lo, at the target t reads
+-B(e_i, e_j)(e_t) = 0: e_xx e_i = 0, B(e_xx, e_j) e_i reaches only targets
+ending at i.hi, and e_xx B(e_i, e_j) reaches t only from B(e_i, e_j)(e_t).
+The triple (e_xx, e_j, e_i) does the same for j.  So B(e_i, e_j)(e_t) is
+*live*, fixed by neither row, iff t.lo = i.lo or t.hi = i.hi, and t.lo =
+j.lo or t.hi = j.hi.  The rule uses antisymmetry and single rows only.
+Only the rows that meet a live column are built, their other entries
+dropped; with the unit rows of the non-live columns they span the system.
+
+Rows are presolved: a row with one entry, +-x_c = 0, fixes c at zero and
+is not stored; every other row drops its fixed columns, fixes its column
+if one entry is left, and is otherwise eliminated against the stored
+echelon rows.  At the end the fixed columns are substituted into the
+stored rows until no new single-entry row appears.  This is Gaussian
+elimination in another order (x_c = 0 is itself a row), and it uses no
+fact about chain components.  The reduced row echelon form, which is
+unique, is the unit rows of the non-live and fixed columns plus the
+reduced stored rows, so rank, free columns and basis vectors do not
+depend on the order.  The nullspace is exactly the module of
+antisymmetric biderivations; classify() cross-checks it against the
+chain classification.
 """
 
 from __future__ import annotations
 
-from .bracket import (
-    Bracket,
-    SigmaMap,
-    extract_sigma,
-    from_sigma,
-)
+from bisect import bisect_right
+
+from .bracket import Bracket, SigmaMap, extract_sigma, from_sigma
 from .coeff import Echelon, RingSpec
 from .errors import BijectionViolation, NotABiderivation, NotAField, RingMismatch
 from .poset import Interval, Poset
 
 
 class LinearSystem(Echelon):
-    """The constraint system: the set `fixed` of columns known to be zero,
-    and the other independent rows in echelon form, which meet no fixed
-    column once settle() has run.  The unit rows of the fixed columns and
-    the stored rows together span the full streamed system, so the rank is
-    len(fixed) + len(rows).  Fixed columns are kept as a set, never as rows.
+    """The constraint system: the `live` columns (every column until
+    build_system narrows them), the set `fixed` of live columns known to
+    be zero, and the other independent rows in echelon form, which meet
+    no fixed or non-live column once settle() has run.  The rank counts
+    the unit rows of the non-live and the fixed columns and the stored
+    rows.  Column r * n + t is B(e_i, e_j)(e_t), r the rank of i < j.
 
     Every row is homogeneous for the Z^P grading deg e_xy = eps_x - eps_y
-    (convolution respects it, and column B(e_i, e_j)(k) has degree
-    deg k - deg i - deg j), and so is every stored row; a row therefore
-    only ever meets pivot rows of its own degree block, and elimination is
-    block-local without any block bookkeeping.
+    (column B(e_i, e_j)(k) has degree deg k - deg i - deg j), so a row only
+    meets pivot rows of its own degree block: elimination is block-local
+    without any block bookkeeping.
     """
 
     def __init__(self, poset: Poset, ring: RingSpec):
@@ -58,30 +62,26 @@ class LinearSystem(Echelon):
             raise NotAField(f"{ring} is not a field")
         super().__init__(ring)
         self.poset = poset
-        intervals = poset.intervals()
-        self.intervals = intervals
+        self.intervals = intervals = poset.intervals()
         self.interval_rank = poset.basis_products().rank
-        self.pairs = [
-            (intervals[a], intervals[b])
-            for a in range(len(intervals))
-            for b in range(a + 1, len(intervals))
-        ]
-        self.pair_rank = {pair: r for r, pair in enumerate(self.pairs)}
-        self.num_unknowns = len(self.pairs) * len(intervals)
+        n = len(intervals)
+        # the pair (i, j), i < j, has rank pair_start[i] + j - i - 1
+        self.pair_start = [i * (2 * n - i - 1) // 2 for i in range(n)]
+        self.num_unknowns = n * (n - 1) // 2 * n
+        self.live: range | set[int] = range(self.num_unknowns)
         self.rows_streamed = 0
         self.fixed: set[int] = set()
 
     @property
     def rank(self) -> int:
-        return len(self.fixed) + len(self.rows)
+        return self.num_unknowns - len(self.live) + len(self.fixed) + len(self.rows)
 
-    def column(self, i: Interval, j: Interval, k: Interval) -> tuple[int, int]:
-        """Column index and sign for the coefficient B(e_i, e_j)(k)."""
-        r = self.pair_rank.get((i, j))
-        if r is not None:
-            return r * len(self.intervals) + self.interval_rank[k], 1
-        r = self.pair_rank[(j, i)]
-        return r * len(self.intervals) + self.interval_rank[k], -1
+    def column(self, i: int, j: int, k: int) -> tuple[int, int]:
+        """Column index and sign of B(e_i, e_j)(e_k), on interval ranks, i != j."""
+        n = len(self.intervals)
+        if i < j:
+            return (self.pair_start[i] + j - i - 1) * n + k, 1
+        return (self.pair_start[j] + i - j - 1) * n + k, -1
 
     def take(self, row: dict) -> None:
         """Add a canonical row (consumed): drop its fixed columns; if one
@@ -97,7 +97,7 @@ class LinearSystem(Echelon):
     def settle(self) -> None:
         """Substitute the fixed columns into the stored rows and re-reduce
         them until no new single-entry row appears.  Afterwards no stored
-        row meets a fixed column, so the rank is |fixed| + len(rows)."""
+        row meets a fixed column."""
         while True:
             before = len(self.fixed)
             rows, self.rows = self.rows, {}
@@ -109,10 +109,10 @@ class LinearSystem(Echelon):
                 return
 
     def satisfied_by(self, vector: dict[int, object]) -> bool:
-        """True iff the vector is zero on every fixed column and solves
-        every stored row."""
-        red, fixed = self.ring.reduce, self.fixed
-        if any(red(v) for col, v in vector.items() if col in fixed):
+        """True iff the vector is zero off the live columns and on every
+        fixed column, and solves every stored row."""
+        red, live, fixed = self.ring.reduce, self.live, self.fixed
+        if any(red(v) for col, v in vector.items() if col not in live or col in fixed):
             return False
         for row in self.rows.values():
             total = 0
@@ -138,94 +138,106 @@ class SolutionBasis:
 
 
 def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
-    """Stream the first Leibniz identity on all basis triples into the system.
+    """Stream the rows of the first Leibniz identity that meet a live column.
 
-    Intervals are handled by their rank in canonical order.  For each
-    triple (a, b, c) the terms of B(ab, c) - B(a, c) e_b - e_a B(b, c) are
-    collected per target interval.  A target that only one term reaches is
-    the row +-x = 0 and fixes its column at once, with no row built; the
-    other rows have their entries summed and zeros dropped, and go to
-    LinearSystem.take.
+    Intervals are handled by their rank.  A live column B(e_u, e_v)(e_t) is
+    the term B(ab, c) of the triple (a, b, v) at t for each ab = u, B(a, c) e_b
+    of (u, b, v) at t' for each e_t e_b = e_t', and e_a B(b, c) of (a, u, v)
+    at t' for each e_a e_t = e_t'.  A row is built from its first live term,
+    so once, without its non-live terms.  rows_streamed counts the nonzero
+    rows built plus one named row per non-live column.
     """
     system = LinearSystem(poset, field)
-    intervals = system.intervals
-    n = len(intervals)
-    axpy, take, fixed = field.axpy, system.take, system.fixed
-    fix, fix_all = fixed.add, fixed.update
-
-    # unknown[i][j] = (offset, sign): B(e_i, e_j)(e_k) = sign * x[offset + k];
-    # None on the diagonal, where antisymmetry makes B vanish
-    unknown = [
-        [None if i == j else system.column(i, j, intervals[0]) for j in intervals]
-        for i in intervals
+    intervals, column = system.intervals, system.column
+    product, right, left, _ = poset.basis_products()
+    factors: list[list[tuple[int, int]]] = [[] for _ in intervals]
+    for ab, t in product.items():
+        factors[t].append(ab)
+    # below[b][t] = k with e_k e_b = e_t; above[a][t] = k with e_a e_k = e_t
+    below, above = [dict(moves) for moves in right], [dict(moves) for moves in left]
+    # B(e_i, e_j)(e_t) is live iff i and j are both in near[t]
+    near = [
+        {r for r, i in enumerate(intervals) if i.lo == t.lo or i.hi == t.hi}
+        for t in intervals
     ]
-    basis = poset.basis_products()
-    product, right, left = basis.product, basis.right, basis.left
 
-    streamed = 0
-    for a in range(n):
-        for b in range(n):
-            ab = product.get((a, b))
-            # target -> [k in B(a, c) e_b, k in e_a B(b, c)], None if unreached;
-            # B(ab, c) reaches every target t from t itself, so the targets
-            # that no move reaches give the rows +-x = 0
-            moves = {t: [k, None] for t, k in right[b]}
-            for t, k in left[a]:
-                moves.setdefault(t, [None, None])[1] = k
-            alone = [] if ab is None else [t for t in range(n) if t not in moves]
-            for c in range(n):
-                # B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0
-                first = unknown[ab][c] if ab is not None else None
-                if first is not None:
-                    offset = first[0]
-                    fix_all([offset + t for t in alone])
-                    streamed += len(alone)
-                second, third = unknown[a][c], unknown[b][c]
-                for t, (k2, k3) in moves.items():
-                    entries = []
-                    if first is not None:
-                        entries.append((first[0] + t, first[1]))
-                    if second is not None and k2 is not None:
-                        entries.append((second[0] + k2, -second[1]))
-                    if third is not None and k3 is not None:
-                        entries.append((third[0] + k3, -third[1]))
-                    if len(entries) == 1:  # +-x = 0
-                        fix(entries[0][0])
+    def term(i, j, k):
+        """(column, sign) of B(e_i, e_j)(e_k); None if zero or not live."""
+        if i is None or k is None or i == j or i not in near[k] or j not in near[k]:
+            return None
+        return column(i, j, k)
+
+    # a row whose one live term is B(e_u, e_v)(e_t) fixes it; longer rows
+    # wait for the end, when most of the columns they meet are fixed
+    live = system.live = set()
+    fix, longer, streamed = system.fixed.add, [], 0
+    for t, ts in enumerate(map(sorted, near)):
+        for u in ts:
+            for v in ts:
+                own = term(u, v, t)
+                if own is None:
+                    continue
+                col = own[0]
+                live.add(col)
+                for a, b in factors[u]:  # B(ab, c) of (a, b, v) at t
+                    second = term(a, v, below[b].get(t))
+                    third = term(b, v, above[a].get(t))
+                    if second or third:
+                        longer.append((own, second, third))
+                    else:
+                        fix(col)
                         streamed += 1
-                    elif entries:
-                        # columns meet where two of the pairs coincide
-                        raw: dict[int, int] = {}
-                        for col, v in entries:
-                            raw[col] = raw.get(col, 0) + v
-                        row: dict[int, object] = {}
-                        axpy(row, raw, 1)  # canonical values, zeros dropped
-                        if row:
-                            streamed += 1
-                            take(row)
-    system.rows_streamed = streamed
+                for t2, b in left[t]:  # B(a, c) e_b of (u, b, v) at t2
+                    if term(product.get((u, b)), v, t2):
+                        continue
+                    third = term(b, v, above[u].get(t2))
+                    if third:
+                        longer.append((None, own, third))
+                    else:
+                        fix(col)
+                        streamed += 1
+                for t2, a in right[t]:  # e_a B(b, c) of (a, u, v) at t2
+                    if not (
+                        term(product.get((a, u)), v, t2)
+                        or term(a, v, below[u].get(t2))
+                    ):
+                        fix(col)
+                        streamed += 1
+    axpy, take = field.axpy, system.take
+    for first, second, third in longer:
+        # B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0 on its live terms
+        raw = {first[0]: first[1]} if first else {}
+        for col, sign in filter(None, (second, third)):
+            raw[col] = raw.get(col, 0) - sign
+        row: dict[int, object] = {}
+        axpy(row, raw, 1)  # canonical values; terms on one column may cancel
+        if row:
+            streamed += 1
+            take(row)
+    system.rows_streamed = streamed + system.num_unknowns - len(live)
     system.settle()
     return system
 
 
 def _vector_to_bracket(system: LinearSystem, vector: dict[int, object]) -> Bracket:
     """The bracket of a solution vector of canonical nonzero raw values."""
-    n = len(system.intervals)
+    intervals, start = system.intervals, system.pair_start
     table: dict[tuple[Interval, Interval], dict] = {}
     for col, value in vector.items():
-        r, k = divmod(col, n)
-        table.setdefault(system.pairs[r], {})[system.intervals[k]] = value
+        r, k = divmod(col, len(intervals))  # LinearSystem.column inverted
+        i = bisect_right(start, r) - 1
+        pair = intervals[i], intervals[r - start[i] + i + 1]
+        table.setdefault(pair, {})[intervals[k]] = value
     return Bracket(system.poset, system.ring, table, antisymmetric_mode=True)
 
 
 def _bracket_to_vector(system: LinearSystem, bracket: Bracket) -> dict[int, object]:
     if bracket.ring != system.ring:
         raise RingMismatch("bracket ring differs from the system's field")
-    n = len(system.intervals)
-    vector: dict[int, object] = {}
+    rank, vector = system.interval_rank, {}
     for (i, j) in bracket.stored_pairs():
-        r = system.pair_rank[(i, j)]
         for k, c in bracket.value(i, j).coeffs.items():
-            vector[r * n + system.interval_rank[k]] = c.value
+            vector[system.column(rank[i], rank[j], rank[k])[0]] = c.value
     return vector
 
 
@@ -234,16 +246,12 @@ def nullspace(system: LinearSystem) -> SolutionBasis:
 
     Back-substitutes the echelon rows in place first; reduced row echelon
     form is unique, so the basis depends only on the system, not on the
-    order its rows were absorbed in.  Fixed columns are pivots of unit
-    rows: never free, and zero in every basis vector.
+    order its rows were absorbed in.  Non-live and fixed columns are
+    pivots of unit rows: never free, and zero in every basis vector.
     """
     system.back_substitute()
-    pivots = system.rows
-    red = system.ring.reduce
-    fixed = system.fixed
-    free = [
-        c for c in range(system.num_unknowns) if c not in pivots and c not in fixed
-    ]
+    pivots, red, fixed = system.rows, system.ring.reduce, system.fixed
+    free = sorted(c for c in system.live if c not in pivots and c not in fixed)
     vecs: dict[int, dict[int, object]] = {j: {j: 1} for j in free}
     for p, row in pivots.items():
         for col, v in row.items():

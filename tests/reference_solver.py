@@ -1,10 +1,15 @@
-"""The original Leibniz solver, kept as a reference for poisset.solver.
+"""Reference Leibniz solvers for poisset.solver.
 
-It streams both Leibniz identities and keeps the stored rows fully
-reduced after every absorbed row, so each new pivot rewrites every stored
-row.  That is slow (quadratic in the rank) but follows the definition
-directly; the tests check that the echelon-form solver returns the same
-free columns and the same basis vectors.
+reference_build_system is the original solver: it streams both Leibniz
+identities and keeps the stored rows fully reduced after every absorbed
+row, so each new pivot rewrites every stored row.  That is slow
+(quadratic in the rank) but follows the definition directly.
+full_stream_build_system is the presolved solver before the live-column
+rule: it streams the first identity on every basis triple and keeps every
+column live.  The tests check that build_system returns the same zero
+columns, rank, free columns and basis vectors as both, and, through
+idempotent_rows, that each column it drops is fixed by the single-entry
+row the solver's module docstring names.
 """
 
 from fractions import Fraction
@@ -60,35 +65,37 @@ class ReferenceSystem(LinearSystem):
         rows[pivot] = normalized
 
 
-def reference_build_system(poset: Poset, field: RingSpec) -> ReferenceSystem:
-    """Stream both Leibniz identities on all basis triples into the system."""
-    system = ReferenceSystem(poset, field)
-    intervals = system.intervals
-    ring = field
-    one = Fraction(1) if ring.kind == "Q" else 1
-    modulus = ring.modulus if ring.kind == "Zmod" else None
+class _Identities:
+    """Rows of both Leibniz identities on Intervals, with the reference's
+    own products and ring reduction; each row maps column -> raw value."""
 
-    prod: dict[tuple[Interval, Interval], Interval] = {}
-    for i in intervals:
-        for j in intervals:
-            if i.hi == j.lo:
-                prod[(i, j)] = Interval(i.lo, j.hi)
-    down = {
-        x: [y for y in poset.elements if poset.leq(y, x)] for x in poset.elements
-    }
-    up = {
-        x: [y for y in poset.elements if poset.leq(x, y)] for x in poset.elements
-    }
+    def __init__(self, system: ReferenceSystem):
+        poset, ring = system.poset, system.ring
+        self.system = system
+        self.intervals = intervals = system.intervals
+        self.one = Fraction(1) if ring.kind == "Q" else 1
+        self.modulus = ring.modulus if ring.kind == "Zmod" else None
+        self.minus = -self.one if self.modulus is None else self.modulus - 1
+        self.prod: dict[tuple[Interval, Interval], Interval] = {}
+        for i in intervals:
+            for j in intervals:
+                if i.hi == j.lo:
+                    self.prod[(i, j)] = Interval(i.lo, j.hi)
+        self.down = {
+            x: [y for y in poset.elements if poset.leq(y, x)]
+            for x in poset.elements
+        }
+        self.up = {
+            x: [y for y in poset.elements if poset.leq(x, y)]
+            for x in poset.elements
+        }
 
-    def emit(acc: dict):
-        for row in acc.values():
-            if row:
-                system._absorb(row)
-
-    def bump(acc, target: Interval, i: Interval, j: Interval, k: Interval, sign):
+    def bump(self, acc, target: Interval, i: Interval, j: Interval, k: Interval, sign):
         if i == j:
             return
-        col, s = system.column(i, j, k)
+        modulus = self.modulus
+        rank = self.system.interval_rank
+        col, s = self.system.column(rank[i], rank[j], rank[k])
         value = sign if s > 0 else -sign
         if modulus is not None:
             value = value % modulus
@@ -101,33 +108,129 @@ def reference_build_system(poset: Poset, field: RingSpec) -> ReferenceSystem:
         else:
             row.pop(col, None)
 
-    minus = -one if modulus is None else modulus - 1
+    def first(self, a: Interval, b: Interval, c: Interval) -> dict:
+        """B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0, target -> row."""
+        acc: dict = {}
+        ab = self.prod.get((a, b))
+        if ab is not None:
+            for k in self.intervals:
+                self.bump(acc, k, ab, c, k, self.one)
+        for x in self.down[b.lo]:
+            self.bump(acc, Interval(x, b.hi), a, c, Interval(x, b.lo), self.minus)
+        for y in self.up[a.hi]:
+            self.bump(acc, Interval(a.lo, y), b, c, Interval(a.hi, y), self.minus)
+        return acc
+
+    def second(self, a: Interval, b: Interval, c: Interval) -> dict:
+        """B(a, bc) - B(a, b) e_c - e_b B(a, c) = 0, target -> row."""
+        acc: dict = {}
+        bc = self.prod.get((b, c))
+        if bc is not None:
+            for k in self.intervals:
+                self.bump(acc, k, a, bc, k, self.one)
+        for x in self.down[c.lo]:
+            self.bump(acc, Interval(x, c.hi), a, b, Interval(x, c.lo), self.minus)
+        for y in self.up[b.hi]:
+            self.bump(acc, Interval(b.lo, y), a, c, Interval(b.hi, y), self.minus)
+        return acc
+
+
+def reference_build_system(poset: Poset, field: RingSpec) -> ReferenceSystem:
+    """Stream both Leibniz identities on all basis triples into the system."""
+    system = ReferenceSystem(poset, field)
+    identities = _Identities(system)
+    intervals = system.intervals
     for a in intervals:
         for b in intervals:
-            ab = prod.get((a, b))
             for c in intervals:
-                # B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0
-                acc: dict = {}
-                if ab is not None:
-                    for k in intervals:
-                        bump(acc, k, ab, c, k, one)
-                for x in down[b.lo]:
-                    bump(acc, Interval(x, b.hi), a, c, Interval(x, b.lo), minus)
-                for y in up[a.hi]:
-                    bump(acc, Interval(a.lo, y), b, c, Interval(a.hi, y), minus)
-                emit(acc)
+                for identity in (identities.first, identities.second):
+                    for row in identity(a, b, c).values():
+                        if row:
+                            system._absorb(row)
+    return system
 
-                # B(a, bc) - B(a, b) e_c - e_b B(a, c) = 0
-                acc = {}
-                bc = prod.get((b, c))
-                if bc is not None:
-                    for k in intervals:
-                        bump(acc, k, a, bc, k, one)
-                for x in down[c.lo]:
-                    bump(acc, Interval(x, c.hi), a, b, Interval(x, c.lo), minus)
-                for y in up[b.hi]:
-                    bump(acc, Interval(b.lo, y), a, c, Interval(b.hi, y), minus)
-                emit(acc)
+
+def idempotent_rows(poset: Poset, field: RingSpec) -> dict:
+    """The nonzero rows of B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0 at the
+    triples (e_xx, b, c) alone, keyed by (x, b, c, target)."""
+    identities = _Identities(ReferenceSystem(poset, field))
+    intervals = identities.intervals
+    rows = {}
+    for x in poset.elements:
+        for b in intervals:
+            for c in intervals:
+                for t, row in identities.first(Interval(x, x), b, c).items():
+                    if row:
+                        rows[x, b, c, t] = row
+    return rows
+
+
+def full_stream_build_system(poset: Poset, field: RingSpec) -> LinearSystem:
+    """The presolved solver streaming the first identity on every triple.
+
+    Every column stays live.  For each triple (a, b, c) the terms of
+    B(ab, c) - B(a, c) e_b - e_a B(b, c) are collected per target interval.
+    A target that only one term reaches is the row +-x = 0 and fixes its
+    column at once, with no row built; the other rows have their entries
+    summed and zeros dropped, and go to LinearSystem.take.  rows_streamed
+    counts every nonzero row.
+    """
+    system = LinearSystem(poset, field)
+    intervals = system.intervals
+    n = len(intervals)
+    axpy, take, fixed = field.axpy, system.take, system.fixed
+    fix, fix_all = fixed.add, fixed.update
+
+    # unknown[i][j] = (offset, sign): B(e_i, e_j)(e_k) = sign * x[offset + k];
+    # None on the diagonal, where antisymmetry makes B vanish
+    unknown = [
+        [None if i == j else system.column(i, j, 0) for j in range(n)]
+        for i in range(n)
+    ]
+    basis = poset.basis_products()
+    product, right, left = basis.product, basis.right, basis.left
+
+    streamed = 0
+    for a in range(n):
+        for b in range(n):
+            ab = product.get((a, b))
+            # target -> [k in B(a, c) e_b, k in e_a B(b, c)], None if unreached;
+            # B(ab, c) reaches every target t from t itself, so the targets
+            # that no move reaches give the rows +-x = 0
+            moves = {t: [k, None] for t, k in right[b]}
+            for t, k in left[a]:
+                moves.setdefault(t, [None, None])[1] = k
+            alone = [] if ab is None else [t for t in range(n) if t not in moves]
+            for c in range(n):
+                first = unknown[ab][c] if ab is not None else None
+                if first is not None:
+                    offset = first[0]
+                    fix_all([offset + t for t in alone])
+                    streamed += len(alone)
+                second, third = unknown[a][c], unknown[b][c]
+                for t, (k2, k3) in moves.items():
+                    entries = []
+                    if first is not None:
+                        entries.append((first[0] + t, first[1]))
+                    if second is not None and k2 is not None:
+                        entries.append((second[0] + k2, -second[1]))
+                    if third is not None and k3 is not None:
+                        entries.append((third[0] + k3, -third[1]))
+                    if len(entries) == 1:  # +-x = 0
+                        fix(entries[0][0])
+                        streamed += 1
+                    elif entries:
+                        # columns meet where two of the pairs coincide
+                        raw: dict[int, int] = {}
+                        for col, v in entries:
+                            raw[col] = raw.get(col, 0) + v
+                        row: dict[int, object] = {}
+                        axpy(row, raw, 1)  # canonical values, zeros dropped
+                        if row:
+                            streamed += 1
+                            take(row)
+    system.rows_streamed = streamed
+    system.settle()
     return system
 
 

@@ -45,7 +45,12 @@ from poisset import (
 )
 from poisset.errors import NotAField, RingMismatch
 from poisset.solver import _bracket_to_vector
-from reference_solver import reference_build_system, reference_nullspace
+from reference_solver import (
+    full_stream_build_system,
+    idempotent_rows,
+    reference_build_system,
+    reference_nullspace,
+)
 
 Q = RATIONALS
 
@@ -88,17 +93,26 @@ class TestSystemShape:
             classify(make_chain(2), INTEGERS)
 
 
+def assert_settled(system):
+    # the unit rows of the non-live and fixed columns and the stored rows
+    # are independent: no stored row is a single entry or meets a zero
+    for row in system.rows.values():
+        assert len(row) > 1
+        assert system.fixed.isdisjoint(row)
+        assert all(col in system.live for col in row)
+
+
+def zero_set(system):
+    """The columns the system holds at zero: non-live or fixed."""
+    return set(range(system.num_unknowns)).difference(system.live) | system.fixed
+
+
 def assert_same_solution_space(poset, ring):
     system = build_system(poset, ring)
     reference = reference_build_system(poset, ring)
     assert system.num_unknowns == reference.num_unknowns
     assert system.rank == reference.rank
-    # settled: the unit rows of the fixed columns and the stored rows are
-    # independent, and no stored row is a single entry
-    assert system.rank == len(system.fixed) + len(system.rows)
-    for row in system.rows.values():
-        assert len(row) > 1
-        assert system.fixed.isdisjoint(row)
+    assert_settled(system)
     basis = nullspace(system)
     expected = reference_nullspace(reference)
     assert basis.free_columns == expected.free_columns
@@ -129,7 +143,7 @@ class TestAgainstReference:
 
     def test_one_identity_streams_half_the_rows(self):
         for ring in (Q, integers_mod(3)):
-            streamed = build_system(make_crown(), ring).rows_streamed
+            streamed = full_stream_build_system(make_crown(), ring).rows_streamed
             reference = reference_build_system(make_crown(), ring).rows_streamed
             assert 2 * streamed == reference
 
@@ -147,21 +161,104 @@ class TestAgainstReference:
         assert all(type(v) is int for v in values)
 
 
+def assert_same_as_full_stream(poset, ring):
+    system = build_system(poset, ring)
+    full = full_stream_build_system(poset, ring)
+    assert system.num_unknowns == full.num_unknowns
+    assert zero_set(system) == zero_set(full)
+    assert system.rank == full.rank
+    assert_settled(system)
+    basis, expected = nullspace(system), nullspace(full)
+    assert basis.free_columns == expected.free_columns
+    assert basis.vectors == expected.vectors
+    dropped = next(
+        (col for col in range(system.num_unknowns) if col not in system.live), None
+    )
+    if dropped is not None:
+        assert not system.satisfied_by({dropped: 1})
+        assert system.satisfied_by({dropped: 0})
+
+
+class TestAgainstFullStream:
+    """build_system streams only the rows that meet a live column; the
+    presolved stream of every triple must give the same zeros, rank, free
+    columns and basis."""
+
+    @pytest.mark.parametrize(
+        "ring", [Q, integers_mod(3), integers_mod(2)], ids=["Q", "Z3", "Z2"]
+    )
+    @pytest.mark.parametrize(
+        "name,poset", CORPUS, ids=[name for name, _ in CORPUS]
+    )
+    def test_corpus(self, name, poset, ring):
+        assert_same_as_full_stream(poset, ring)
+
+    @settings(deadline=None)
+    @given(p=posets(max_size=5))
+    def test_random_posets(self, p):
+        for ring in (Q, integers_mod(3), integers_mod(2)):
+            assert_same_as_full_stream(p, ring)
+
+
+def assert_non_live_columns_are_named_single_rows(poset, ring):
+    """Each non-live B(e_i, e_j)(e_t), i before j, is the one entry of the
+    row of (e_xx, e_i, e_j) at t, x = t.lo, if t starts at no endpoint of i
+    and ends at none; else of the row of (e_xx, e_j, e_i) at t."""
+    system = build_system(poset, ring)
+    rows = idempotent_rows(poset, ring)
+    intervals = system.intervals
+    n = len(intervals)
+    dropped = 0
+    for a, i in enumerate(intervals):
+        for b in range(a + 1, n):
+            j = intervals[b]
+            for r, t in enumerate(intervals):
+                col, _ = system.column(a, b, r)
+                if col in system.live:
+                    continue
+                dropped += 1
+                first, second = (i, j) if t.lo != i.lo and t.hi != i.hi else (j, i)
+                assert t.lo != first.lo and t.hi != first.hi
+                assert list(rows[t.lo, first, second, t]) == [col]
+    assert dropped == system.num_unknowns - len(system.live)
+
+
+class TestLiveColumns:
+    """The rule behind the live set, checked on rows streamed by the
+    reference from the idempotent triples (e_xx, b, c) alone."""
+
+    @pytest.mark.parametrize("ring", [Q, integers_mod(2)], ids=["Q", "Z2"])
+    @pytest.mark.parametrize(
+        "name,poset", CORPUS, ids=[name for name, _ in CORPUS]
+    )
+    def test_corpus(self, name, poset, ring):
+        assert_non_live_columns_are_named_single_rows(poset, ring)
+
+    @settings(deadline=None)
+    @given(p=posets(max_size=5))
+    def test_random_posets(self, p):
+        for ring in (Q, integers_mod(2)):
+            assert_non_live_columns_are_named_single_rows(p, ring)
+
+
 class TestPresolve:
     """Single-entry rows fix their column at zero and are never stored."""
 
     @pytest.mark.parametrize(
-        "poset,ring,counts",
+        "poset,ring,full,live",
         [
-            (make_chain(8), Q, (22_680, 390_292, 22_679)),
-            (make_crown(), integers_mod(2), (224, 1_460, 220)),
+            (make_chain(8), Q, (22_680, 390_292, 22_679), (22_680, 43_008, 22_679)),
+            (make_crown(), integers_mod(2), (224, 1_460, 220), (224, 344, 220)),
         ],
         ids=["chain8-Q", "crown-Z2"],
     )
-    def test_counts(self, poset, ring, counts):
-        # unknowns, streamed rows and rank of the solver without presolve
-        system = build_system(poset, ring)
-        assert (system.num_unknowns, system.rows_streamed, system.rank) == counts
+    def test_counts(self, poset, ring, full, live):
+        # unknowns, streamed rows and rank: of the full stream, and of the
+        # live-column build, whose rows_streamed counts one named row per
+        # non-live column
+        for build, counts in ((full_stream_build_system, full), (build_system, live)):
+            system = build(poset, ring)
+            assert (system.num_unknowns, system.rows_streamed, system.rank) == counts
 
     def test_only_rows_with_two_live_entries_are_absorbed(self, monkeypatch):
         absorbed = []
@@ -170,6 +267,7 @@ class TestPresolve:
         def spy(system, row):
             assert len(row) > 1
             assert system.fixed.isdisjoint(row)
+            assert all(col in system.live for col in row)
             absorbed.append(len(row))
             return absorb(system, row)
 
