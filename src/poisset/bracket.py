@@ -650,6 +650,7 @@ def _span(ring: RingSpec, vectors: Iterable[dict[int, object]]) -> Echelon:
     span = Echelon(ring)
     for vec in vectors:
         span.absorb(vec)
+    span.back_substitute()
     return span
 
 
@@ -730,16 +731,17 @@ def lemma_suite(
     bracket verify as an antisymmetric biderivation up front.
 
     Every instance is bilinear in the sandwiches x(e, f) e_ef and
-    y(g, h) e_gh, so it can fail only where such a coefficient meets a
-    stored entry of the table, or a term of B(e_e, x) or B(e_g, y).  Only
-    those tuples are examined, in label order; every other admissible
-    tuple is counted as a pass.
+    y(g, h) e_gh, so a side can be nonzero only where such a coefficient
+    meets a stored entry of the table, or a term of B(e_e, x) or B(e_g, y).
+    Both sides are built from those sources alone, as maps from tuples to
+    values, and compared once in label order; every other admissible tuple
+    is counted as a pass.
     """
     if strict:
         _require_biderivation(bracket)
     report = CheckReport("lemma_suite")
     P, R = bracket.poset, bracket.ring
-    labels, rank = P.elements, P.interval_index
+    labels = P.elements
     pos = {x: k for k, x in enumerate(labels)}
     n = len(labels)
     rng = random.Random(seed)
@@ -747,7 +749,6 @@ def lemma_suite(
     ys = [random_element(P, R, rng) for _ in range(samples)]
     full = bracket._full
     axpy, reduce = R.axpy, R.reduce
-    empty: dict = {}
     row: dict[Interval, list[tuple[Interval, dict]]] = {}
     for (i, j), coeffs in full.items():
         row.setdefault(i, []).append((j, coeffs))
@@ -763,144 +764,104 @@ def lemma_suite(
         report.fail("orthogonal_vanishing", {"e": labels[e], "f": labels[f]})
     _count_rest(report, "orthogonal_vanishing", n * (n - 1) - len(orthogonal))
 
-    # admissible instances per sample of each random-element lemma
-    totals = {
-        "sandwich_transport": n**3,
-        "endpoint_exchange": n**2,
-        "forward_chaining": n * (n - 1) * (n - 2),
-        "backward_chaining": n * (n - 1) * (n - 2),
-        "corner_support": n * (n - 1) * ((n - 1) + (n - 2) ** 2),
+    # per random-element lemma: its tuple's label names, instances per sample
+    checks = {
+        "sandwich_transport": ("efg", n**3),
+        "endpoint_exchange": ("ef", n**2),
+        "forward_chaining": ("efg", n * (n - 1) * (n - 2)),
+        "backward_chaining": ("efg", n * (n - 1) * (n - 2)),
+        "corner_support": ("efgh", n * (n - 1) * ((n - 1) + (n - 2) ** 2)),
     }
-    failed = dict.fromkeys(totals, 0)
+    failed = dict.fromkeys(checks, 0)
 
-    def fail(check: str, names: str, tup: tuple, s: int):
-        failed[check] += 1
-        instance = {name: labels[k] for name, k in zip(names, tup)}
-        instance["sample"] = s
-        report.fail(check, instance)
+    def times(coeffs: Mapping, a) -> dict:
+        out: dict = {}
+        axpy(out, coeffs, a)
+        return out
 
     for s in range(samples):
         X, Y = xs[s]._values(), ys[s]._values()
-        # bex[e] = B(e_e, x) and bgy[g] = B(e_g, y), from the stored rows
-        # of the diagonal intervals
-        bex: dict[str, dict] = {}
-        bgy: dict[str, dict] = {}
+        # each lemma's two sides: label-position tuple -> raw nonzero value,
+        # reached at each tuple by exactly one term of the sources below
+        sides = {check: ({}, {}) for check in checks}
+        (sw_l, sw_r), (ex_l, ex_r), (fw_l, fw_r), (bw_l, bw_r), (co_l, co_r) = sides.values()
+
+        # B(e, fxg) = f B(e, x) g, and = 0 when e differs from f and g;
+        # lhs x(f, g) B(e_e, e_fg), rhs B(e_e, x)(f, g) e_fg
+        bex, bgy = {}, {}  # B(e_e, x) by e and B(e_g, y) by g
         for i in diagonal:
-            for out, z in ((bex, X), (bgy, Y)):
-                acc: dict = {}
-                for j, coeffs in row[i]:
-                    if j in z:
-                        axpy(acc, coeffs, z[j])
-                if acc:
-                    out[i.lo] = acc
-        x_order = sorted(X, key=rank)
+            e = pos[i.lo]
+            bx = bex[i.lo] = {}
+            by = bgy[i.lo] = {}
+            for j, coeffs in row[i]:
+                if j in X and (v := times(coeffs, X[j])):
+                    sw_l[e, pos[j.lo], pos[j.hi]] = v
+                    axpy(bx, v, 1)
+                if j in Y:
+                    axpy(by, coeffs, Y[j])
+            for fg, b in bx.items():
+                sw_r[e, pos[fg.lo], pos[fg.hi]] = {fg: b}
+
+        # B(e, exf) = B(exf, f); the lhs is the sandwich lhs at (e, e, f)
+        ex_l.update(((e, g), v) for (e, f, g), v in sw_l.items() if e == f)
+        for ef, a in X.items():
+            if v := times(full.get((ef, Interval(ef.hi, ef.hi)), {}), a):
+                ex_r[pos[ef.lo], pos[ef.hi]] = v
+
+        # the stored B(e_ef, e_gh) with x(e, f) and y(g, h) nonzero, e < f:
+        # the left sides of the chaining and corner instances
         x_from: dict[str, list[Interval]] = {}  # strict [e, f] of x by e
-        for ef in x_order:
-            if ef.lo != ef.hi:
-                x_from.setdefault(ef.lo, []).append(ef)
+        for ef, a in X.items():
+            if ef.lo == ef.hi:
+                continue
+            x_from.setdefault(ef.lo, []).append(ef)
+            e, f = pos[ef.lo], pos[ef.hi]
+            for gh, coeffs in row.get(ef, ()):
+                if gh not in Y or not (v := times(coeffs, a * Y[gh])):
+                    continue
+                g, h = pos[gh.lo], pos[gh.hi]
+                if g == f and h != f:
+                    fw_l[e, f, h] = v
+                if h == e and g != e:
+                    bw_l[e, f, g] = v
+                if g != f and h != e and h != g:
+                    # e, g orthogonal to f, h: the value is its own corner
+                    # sandwich eg B(exf, gyh) fh, and eg, fh are e_e, e_f or 0
+                    co_l[e, f, g, h] = v
+                    if ef == gh and ef in v:
+                        co_r[e, f, g, h] = {ef: v[ef]}
+
+        # distinct triples: B(exf, fyg) = e B(e, x) f y g, rhs B(e_e, x)(e, f) y(f, g) e_eg
         y_from: dict[str, list[Interval]] = {}  # strict [f, g] of y by f
         for fg in Y:
             if fg.lo != fg.hi:
                 y_from.setdefault(fg.lo, []).append(fg)
-
-        # B(e, fxg) = f B(e, x) g, and = 0 when e differs from f and g;
-        # lhs = x(f, g) B(e_e, e_fg), rhs = B(e_e, x)(f, g) e_fg
-        found = set()
-        for i in diagonal:
-            e = pos[i.lo]
-            found.update((e, pos[f], pos[g]) for f, g in bex.get(i.lo, empty))
-            found.update((e, pos[j.lo], pos[j.hi]) for j, _ in row[i] if j in X)
-        for tup in sorted(found):
-            e, f, g = (labels[k] for k in tup)
-            fg = Interval(f, g)
-            lhs: dict = {}
-            if fg in X:
-                axpy(lhs, full.get((Interval(e, e), fg), empty), X[fg])
-            b = bex.get(e, empty).get(fg)
-            if lhs != ({} if b is None else {fg: b}) or (e != f and e != g and lhs):
-                fail("sandwich_transport", "efg", tup, s)
-
-        # B(e, exf) = B(exf, f); both vanish unless x(e, f) is nonzero
-        for ef in x_order:
-            lhs, rhs = {}, {}
-            axpy(lhs, full.get((Interval(ef.lo, ef.lo), ef), empty), X[ef])
-            axpy(rhs, full.get((ef, Interval(ef.hi, ef.hi)), empty), X[ef])
-            if lhs != rhs:
-                fail("endpoint_exchange", "ef", (pos[ef.lo], pos[ef.hi]), s)
-
-        # the stored B(e_ef, e_gh) with x(e, f) and y(g, h) nonzero, e < f:
-        # the left sides of the chaining and corner instances
-        forward, backward, corner = set(), set(), []
-        for ef in x_order:
-            e, f = pos[ef.lo], pos[ef.hi]
-            if e == f:
-                continue
-            for gh, coeffs in row.get(ef, ()):
-                if gh not in Y:
-                    continue
-                g, h = pos[gh.lo], pos[gh.hi]
-                if g == f and h != f:
-                    forward.add((e, f, h))
-                if h == e and g != e:
-                    backward.add((e, f, g))
-                if g != f and h != e and h != g:
-                    corner.append(((e, f, g, h), ef, gh, coeffs))
-        # ... and the right sides: B(e_e, x)(e, f) y(f, g), B(e_g, y)(g, e) x(e, f)
         for lo, b in bex.items():
-            for ef in b:
+            for ef, c in b.items():
                 if ef.lo == lo and ef.hi != lo:
                     e, f = pos[lo], pos[ef.hi]
-                    forward.update((e, f, pos[fg.hi]) for fg in y_from.get(ef.hi, ()))
+                    for fg in y_from.get(ef.hi, ()):
+                        if v := reduce(c * Y[fg]):
+                            fw_r[e, f, pos[fg.hi]] = {Interval(lo, fg.hi): v}
+
+        # distinct triples: B(exf, gye) = -g B(g, y) exf, rhs -B(e_g, y)(g, e) x(e, f) e_gf
         for lo, b in bgy.items():
-            for ge in b:
+            for ge, c in b.items():
                 if ge.lo == lo and ge.hi != lo:
-                    g = pos[lo]
-                    backward.update((pos[ef.lo], pos[ef.hi], g) for ef in x_from.get(ge.hi, ()))
+                    for ef in x_from.get(ge.hi, ()):
+                        if v := reduce(-(c * X[ef])):
+                            bw_r[pos[ef.lo], pos[ef.hi], pos[lo]] = {Interval(lo, ef.hi): v}
 
-        # distinct triples: B(exf, fyg) = e B(e, x) f y g
-        for tup in sorted(forward):
-            e, f, g = (labels[k] for k in tup)
-            ef, fg = Interval(e, f), Interval(f, g)
-            yv = Y[fg]
-            lhs, rhs = {}, {}
-            if ef in X:
-                axpy(lhs, full.get((ef, fg), empty), X[ef] * yv)
-            b = bex.get(e, empty).get(ef)
-            if b is not None:
-                v = reduce(b * yv)
-                if v:
-                    rhs[Interval(e, g)] = v
-            if lhs != rhs:
-                fail("forward_chaining", "efg", tup, s)
+        for check, (lhs, rhs) in sides.items():
+            names = checks[check][0]
+            for tup in sorted(lhs.keys() | rhs.keys()):
+                if lhs.get(tup) != rhs.get(tup) or (
+                    check == "sandwich_transport" and tup[0] not in tup[1:]
+                ):
+                    failed[check] += 1
+                    report.fail(check, dict(zip(names, (labels[k] for k in tup)), sample=s))
 
-        # distinct triples: B(exf, gye) = -g B(g, y) exf
-        for tup in sorted(backward):
-            e, f, g = (labels[k] for k in tup)
-            ef, ge = Interval(e, f), Interval(g, e)
-            xv = X[ef]
-            lhs, rhs = {}, {}
-            if ge in Y:
-                axpy(lhs, full.get((ef, ge), empty), xv * Y[ge])
-            b = bgy.get(g, empty).get(ge)
-            if b is not None:
-                v = reduce(-(b * xv))
-                if v:
-                    rhs[Interval(g, f)] = v
-            if lhs != rhs:
-                fail("backward_chaining", "efg", tup, s)
-
-        # quadruples with e, g orthogonal to f, h: the value is its own
-        # corner sandwich eg B(exf, gyh) fh
-        corner.sort(key=lambda c: c[0])
-        for tup, ef, gh, coeffs in corner:
-            val: dict = {}
-            axpy(val, coeffs, X[ef] * Y[gh])
-            # eg and fh collapse to e_e, e_f or vanish outright
-            rhs = {ef: val[ef]} if ef == gh and ef in val else {}
-            if val and val != rhs:
-                fail("corner_support", "efgh", tup, s)
-
-    for check, total in totals.items():
+    for check, (_, total) in checks.items():
         _count_rest(report, check, samples * total - failed[check])
     return report
 

@@ -350,28 +350,27 @@ class Echelon:
             ring.axpy(row, pivot_row, -row[pivot])
         return False
 
-    def residue(self, row: Mapping) -> dict:
-        """row minus a combination of the stored rows that clears every
-        pivot column; empty iff row lies in their span."""
-        out = dict(row)
+    def _clear(self, row: dict, keep=None) -> None:
+        # subtract, at each pivot column of row but keep, that column's
+        # stored row; one pass suffices when those rows are zero at every
+        # other pivot column
         rows, axpy = self.rows, self.ring.axpy
-        # a stored row is zero left of its pivot, so clearing the pivots in
-        # ascending order never refills one already cleared
-        for pivot in sorted(rows):
-            c = out.get(pivot)
-            if c:
-                axpy(out, rows[pivot], -c)
+        for col in [c for c in row if c != keep and c in rows]:
+            axpy(row, rows[col], -row[col])
+
+    def residue(self, row: Mapping) -> dict:
+        """row minus the combination of the stored rows that clears every
+        pivot column; empty iff row lies in their span.  The rows must be
+        reduced (back_substitute())."""
+        out = dict(row)
+        self._clear(out)
         return out
 
     def back_substitute(self) -> None:
         """Bring the rows to reduced row echelon form, in place.
 
         Pivots are visited in descending order, so every pivot row a row
-        is reduced by is already zero at all other pivot columns, and one
-        pass over the row's own pivot columns suffices.
+        is reduced by is already zero at all other pivot columns.
         """
-        rows, axpy = self.rows, self.ring.axpy
-        for pivot in sorted(rows, reverse=True):
-            row = rows[pivot]
-            for col in [c for c in row if c != pivot and c in rows]:
-                axpy(row, rows[col], -row[col])
+        for pivot in sorted(self.rows, reverse=True):
+            self._clear(self.rows[pivot], pivot)

@@ -39,7 +39,13 @@ from bisect import bisect_right
 
 from .bracket import Bracket, SigmaMap, extract_sigma, from_sigma
 from .coeff import Echelon, RingSpec
-from .errors import BijectionViolation, NotABiderivation, NotAField, RingMismatch
+from .errors import (
+    BijectionViolation,
+    NotABiderivation,
+    NotAField,
+    NotChainConstant,
+    RingMismatch,
+)
 from .poset import Interval, Poset
 
 
@@ -310,9 +316,11 @@ def classify(poset: Poset, field: RingSpec) -> ClassificationReport:
             sigma = extract_sigma(vector)
         except NotABiderivation:
             raise BijectionViolation("solver vector fails a bracket check") from None
-        if not sigma.is_chain_constant():
-            raise BijectionViolation("solver vector's sigma is not chain-constant")
-        if from_sigma(sigma) != vector:
+        try:
+            reproduced = from_sigma(sigma)
+        except NotChainConstant:
+            raise BijectionViolation("solver vector's sigma is not chain-constant") from None
+        if reproduced != vector:
             raise BijectionViolation("sigma does not reproduce its solver vector")
         sigmas.append(sigma)
 

@@ -950,9 +950,21 @@ def chained_raw_table(poset, ring, rng):
 def small_raw_tables():
     """The one-element poset and the 3-element antichain with raw tables
     that fail orthogonality, exchange and transport: B(e_x, e_x) = e_x,
-    B(e_1, e_2) = e_3 and B(e_2, e_1) = 2 e_1 - e_2."""
+    B(e_1, e_2) = e_3 and B(e_2, e_1) = 2 e_1 - e_2; and the 2-chain with
+    B(e_12, e_12) = e_12, which passes corner support, and = e_12 + e_11,
+    which fails it."""
     out = []
     for ring in LEMMA_RINGS:
+        chain2 = make_chain(2)
+        for value in ({("1", "2"): 1}, {("1", "2"): 1, ("1", "1"): 1}):
+            out.append(
+                Bracket.from_basis_table(
+                    chain2,
+                    ring,
+                    {(("1", "2"), ("1", "2")): el(chain2, value, ring)},
+                    antisymmetric=False,
+                )
+            )
         chain1 = make_chain(1)
         out.append(
             Bracket.from_basis_table(

@@ -43,8 +43,9 @@ from poisset import (
     make_crown,
     nullspace,
 )
-from poisset.errors import NotAField, RingMismatch
-from poisset.solver import _bracket_to_vector
+from poisset import solver
+from poisset.errors import BijectionViolation, NotABiderivation, NotAField, RingMismatch
+from poisset.solver import SolutionBasis, _bracket_to_vector
 from reference_solver import (
     full_stream_build_system,
     idempotent_rows,
@@ -401,3 +402,52 @@ class TestClassify:
         assert report.dimension == 0
         assert report.match
         assert report.sigmas == []
+
+
+class TestBijectionViolations:
+    """Each disagreement classify() looks for, forced by patching one name
+    of poisset.solver on the 3-chain (one chain component) or the crown."""
+
+    def test_vector_failing_a_bracket_check(self, monkeypatch):
+        def refuse(vector):
+            raise NotABiderivation("not antisymmetric")
+
+        monkeypatch.setattr(solver, "extract_sigma", refuse)
+        with pytest.raises(BijectionViolation, match="^solver vector fails a bracket check$"):
+            classify(make_chain(3), Q)
+
+    def test_sigma_not_chain_constant(self, monkeypatch):
+        # the real from_sigma refuses a sigma with three values on one chain
+        chain = make_chain(3)
+        values = {pair: k + 1 for k, pair in enumerate(chain.strict_pairs())}
+        monkeypatch.setattr(solver, "extract_sigma", lambda vector: SigmaMap(chain, Q, values))
+        with pytest.raises(
+            BijectionViolation, match="^solver vector's sigma is not chain-constant$"
+        ):
+            classify(chain, Q)
+
+    def test_sigma_not_reproducing_its_vector(self, monkeypatch):
+        chain = make_chain(3)
+        monkeypatch.setattr(solver, "extract_sigma", lambda vector: SigmaMap(chain, Q, {}))
+        with pytest.raises(
+            BijectionViolation, match="^sigma does not reproduce its solver vector$"
+        ):
+            classify(chain, Q)
+
+    def test_indicator_outside_the_solver_space(self, monkeypatch):
+        monkeypatch.setattr(solver.LinearSystem, "satisfied_by", lambda self, vector: False)
+        with pytest.raises(
+            BijectionViolation, match="^indicator bracket falls outside the solver space$"
+        ):
+            classify(make_chain(3), Q)
+
+    def test_dimension_short_of_the_chain_components(self, monkeypatch):
+        real = solver.nullspace
+
+        def drop_one(system):
+            basis = real(system)
+            return SolutionBasis(basis.vectors[1:], basis.free_columns[1:])
+
+        monkeypatch.setattr(solver, "nullspace", drop_one)
+        with pytest.raises(BijectionViolation, match="^dimension 3 != 4 chain components$"):
+            classify(make_crown(), Q)
