@@ -9,13 +9,39 @@ identity, B(a, bc) - B(a, b) e_c - e_b B(a, c) = 0, adds nothing: rewritten
 by antisymmetry it is -(B(bc, a) - B(b, a) e_c - e_b B(c, a)), the first
 identity at the triple (b, c, a), so it yields the same rows up to sign.
 
-Most unknowns are zero by a single row.  If t.lo != i.lo and t.hi != i.hi,
-the row of the triple (e_xx, e_i, e_j), x = t.lo, at the target t reads
--B(e_i, e_j)(e_t) = 0: e_xx e_i = 0, B(e_xx, e_j) e_i reaches only targets
-ending at i.hi, and e_xx B(e_i, e_j) reaches t only from B(e_i, e_j)(e_t).
-The triple (e_xx, e_j, e_i) does the same for j.  So B(e_i, e_j)(e_t) is
-*live*, fixed by neither row, iff t.lo = i.lo or t.hi = i.hi, and t.lo =
-j.lo or t.hi = j.hi.  The rule uses antisymmetry and single rows only.
+Most unknowns are zero, by rows of basis triples alone.  Write t = [p, q].
+
+Rule 1.  If t.lo != i.lo and t.hi != i.hi, the row of the triple (e_xx,
+e_i, e_j), x = t.lo, at the target t reads -B(e_i, e_j)(e_t) = 0: e_xx e_i
+= 0, B(e_xx, e_j) e_i reaches only targets ending at i.hi, and e_xx
+B(e_i, e_j) reaches t only from B(e_i, e_j)(e_t).  The triple (e_xx, e_j,
+e_i) does the same for j.  So B(e_i, e_j)(e_t) is zero unless t.lo = i.lo
+or t.hi = i.hi, and t.lo = j.lo or t.hi = j.hi.
+
+Rule 2.  B(e_i, e_j)(e_t), i != j, is zero unless e_t = e_i e_j or e_t =
+e_j e_i (for i != j at most one of the two is nonzero); these are the
+*live* columns.  Every row is homogeneous for the Z^P grading deg e_xy =
+eps_x - eps_y, and B(e_i, e_j)(e_t) has degree deg t - deg i - deg j.
+Comparing endpoints shows that a column rule 1 keeps has degree 0 iff e_t
+is e_i e_j or e_j e_i.  So take a column that rule 1 keeps, of nonzero
+degree.  Transport rows move a strict argument that meets t at one end
+only onto an idempotent:
+- if i = [p, y], y != q, the row of (e_i, e_yy, e_j) at t reads
+  B(e_i, e_j)(e_t) - B(e_yy, e_j)([y, q]) = 0: e_i e_yy = e_i,
+  B(e_i, e_j) e_yy reaches only targets ending at y, and e_i B(e_yy, e_j)
+  reaches t only from [y, q];
+- if i = [x, q], x != p, the row of (e_xx, e_i, e_j) at t reads
+  B(e_i, e_j)(e_t) - B(e_xx, e_j)([p, x]) = 0 the same way;
+- j moves likewise, through B(e_i, e_j) = -B(e_j, e_i).
+A transport keeps the degree, and it is a single-entry row, which fixes
+the column at zero, when the moved target is not an interval.  Each one
+turns a strict argument into an idempotent, so after at most two the
+column is zero by rule 1 or each argument is an idempotent or the target
+itself.  B(e_xx, e_t)(e_t) has degree 0, and B(e_t, e_t) is no column; what
+is left is B(e_zz, e_ww)(e_t) with t = [z, w] or [w, z], the one entry of
+the row of (e_zz, e_ww, e_ww) at [z, w] (e_zz e_ww = 0, B(e_ww, e_ww) = 0)
+or of (e_ww, e_zz, e_zz) at [w, z].  The proof uses antisymmetry, the
+grading and rows of basis triples; it uses no fact about chain components.
 Only the rows that meet a live column are built, their other entries
 dropped; with the unit rows of the non-live columns they span the system.
 
@@ -24,13 +50,14 @@ is not stored; every other row drops its fixed columns, fixes its column
 if one entry is left, and is otherwise eliminated against the stored
 echelon rows.  At the end the fixed columns are substituted into the
 stored rows until no new single-entry row appears.  This is Gaussian
-elimination in another order (x_c = 0 is itself a row), and it uses no
-fact about chain components.  The reduced row echelon form, which is
-unique, is the unit rows of the non-live and fixed columns plus the
-reduced stored rows, so rank, free columns and basis vectors do not
-depend on the order.  The nullspace is exactly the module of
-antisymmetric biderivations; classify() cross-checks it against the
-chain classification.
+elimination in another order (x_c = 0 is itself a row).  On every poset
+tested the live build leaves presolve nothing to fix; presolve stays as
+the general path, which the full stream in tests/reference_solver.py takes.
+The reduced row echelon form, which is unique, is the unit rows of the
+non-live and fixed columns plus the reduced stored rows, so rank, free
+columns and basis vectors do not depend on the order.  The nullspace is
+exactly the module of antisymmetric biderivations; classify()
+cross-checks it against the chain classification.
 """
 
 from __future__ import annotations
@@ -51,8 +78,9 @@ from .poset import Interval, Poset
 
 class LinearSystem(Echelon):
     """The constraint system: the `live` columns (every column until
-    build_system narrows them), the set `fixed` of live columns known to
-    be zero, and the other independent rows in echelon form, which meet
+    build_system narrows them to rule 2's), the set `fixed` of live
+    columns known to be zero (empty after build_system on every poset
+    tested), and the other independent rows in echelon form, which meet
     no fixed or non-live column once settle() has run.  The rank counts
     the unit rows of the non-live and the fixed columns and the stored
     rows.  Column r * n + t is B(e_i, e_j)(e_t), r the rank of i < j.
@@ -146,81 +174,64 @@ class SolutionBasis:
 def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     """Stream the rows of the first Leibniz identity that meet a live column.
 
-    Intervals are handled by their rank.  A live column B(e_u, e_v)(e_t) is
-    the term B(ab, c) of the triple (a, b, v) at t for each ab = u, B(a, c) e_b
-    of (u, b, v) at t' for each e_t e_b = e_t', and e_a B(b, c) of (a, u, v)
-    at t' for each e_a e_t = e_t'.  A row is built from its first live term,
-    so once, without its non-live terms.  rows_streamed counts the nonzero
-    rows built plus one named row per non-live column.
+    Intervals are handled by their rank.  The live columns are the
+    B(e_u, e_v)(e_t) with e_t = e_u e_v or e_v e_u (rule 2), visited by
+    target t, then (u, v).  Such a column is the term B(ab, c) of the
+    triple (a, b, v) at t for each ab = u, B(a, c) e_b of (u, b, v) at t'
+    for each e_t e_b = e_t', and e_a B(b, c) of (a, u, v) at t' for each
+    e_a e_t = e_t'.  A row is built from its first live term, so once,
+    without its non-live terms, and goes to LinearSystem.take.
+    rows_streamed counts the nonzero rows built plus one unit row per
+    non-live column.
     """
     system = LinearSystem(poset, field)
     intervals, column = system.intervals, system.column
     product, right, left, _ = poset.basis_products()
     factors: list[list[tuple[int, int]]] = [[] for _ in intervals]
-    for ab, t in product.items():
-        factors[t].append(ab)
+    # commutator[u, v] = t iff e_t is e_u e_v or e_v e_u, u != v (at most
+    # one is nonzero); pairs[t] lists those (u, v): B(e_u, e_v)(e_t) is live
+    commutator: dict[tuple[int, int], int] = {}
+    pairs: list[list[tuple[int, int]]] = [[] for _ in intervals]
+    for (a, b), t in product.items():
+        factors[t].append((a, b))
+        if a != b:
+            commutator[a, b] = commutator[b, a] = t
+            pairs[t] += (a, b), (b, a)
     # below[b][t] = k with e_k e_b = e_t; above[a][t] = k with e_a e_k = e_t
     below, above = [dict(moves) for moves in right], [dict(moves) for moves in left]
-    # B(e_i, e_j)(e_t) is live iff i and j are both in near[t]
-    near = [
-        {r for r, i in enumerate(intervals) if i.lo == t.lo or i.hi == t.hi}
-        for t in intervals
-    ]
 
     def term(i, j, k):
         """(column, sign) of B(e_i, e_j)(e_k); None if zero or not live."""
-        if i is None or k is None or i == j or i not in near[k] or j not in near[k]:
+        if k is None or commutator.get((i, j)) != k:
             return None
         return column(i, j, k)
 
-    # a row whose one live term is B(e_u, e_v)(e_t) fixes it; longer rows
-    # wait for the end, when most of the columns they meet are fixed
-    live = system.live = set()
-    fix, longer, streamed = system.fixed.add, [], 0
-    for t, ts in enumerate(map(sorted, near)):
-        for u in ts:
-            for v in ts:
-                own = term(u, v, t)
-                if own is None:
-                    continue
-                col = own[0]
-                live.add(col)
-                for a, b in factors[u]:  # B(ab, c) of (a, b, v) at t
-                    second = term(a, v, below[b].get(t))
-                    third = term(b, v, above[a].get(t))
-                    if second or third:
-                        longer.append((own, second, third))
-                    else:
-                        fix(col)
-                        streamed += 1
-                for t2, b in left[t]:  # B(a, c) e_b of (u, b, v) at t2
-                    if term(product.get((u, b)), v, t2):
-                        continue
-                    third = term(b, v, above[u].get(t2))
-                    if third:
-                        longer.append((None, own, third))
-                    else:
-                        fix(col)
-                        streamed += 1
-                for t2, a in right[t]:  # e_a B(b, c) of (a, u, v) at t2
-                    if not (
-                        term(product.get((a, u)), v, t2)
-                        or term(a, v, below[u].get(t2))
-                    ):
-                        fix(col)
-                        streamed += 1
-    axpy, take = field.axpy, system.take
-    for first, second, third in longer:
-        # B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0 on its live terms
-        raw = {first[0]: first[1]} if first else {}
-        for col, sign in filter(None, (second, third)):
-            raw[col] = raw.get(col, 0) - sign
-        row: dict[int, object] = {}
-        axpy(row, raw, 1)  # canonical values; terms on one column may cancel
-        if row:
-            streamed += 1
-            take(row)
-    system.rows_streamed = streamed + system.num_unknowns - len(live)
+    system.live = {column(u, v, t)[0] for (u, v), t in commutator.items()}
+    axpy, take, streamed = field.axpy, system.take, 0
+    for t, ts in enumerate(pairs):
+        for u, v in sorted(ts):
+            own = column(u, v, t)
+            rows = [  # B(ab, c) of (a, b, v) at t
+                (own, term(a, v, below[b].get(t)), term(b, v, above[a].get(t)))
+                for a, b in factors[u]
+            ]
+            for t2, b in left[t]:  # B(a, c) e_b of (u, b, v) at t2
+                if not term(product.get((u, b)), v, t2):
+                    rows.append((None, own, term(b, v, above[u].get(t2))))
+            # e_a B(b, c) of (a, u, v) at e_a e_t is never a row's first
+            # live term: B(au, v) is live there if e_t = e_u e_v or a = v,
+            # and B(a, v), at e_a e_v, if e_t = e_v e_u and a != v
+            for first, second, third in rows:
+                # B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0 on its live terms
+                raw = {first[0]: first[1]} if first else {}
+                for col, sign in filter(None, (second, third)):
+                    raw[col] = raw.get(col, 0) - sign
+                row: dict[int, object] = {}
+                axpy(row, raw, 1)  # canonical values; terms on one column may cancel
+                if row:
+                    streamed += 1
+                    take(row)
+    system.rows_streamed = streamed + system.num_unknowns - len(system.live)
     system.settle()
     return system
 

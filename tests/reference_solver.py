@@ -8,8 +8,9 @@ full_stream_build_system is the presolved solver before the live-column
 rule: it streams the first identity on every basis triple and keeps every
 column live.  The tests check that build_system returns the same zero
 columns, rank, free columns and basis vectors as both, and, through
-idempotent_rows, that each column it drops is fixed by the single-entry
-row the solver's module docstring names.
+idempotent_rows, that each column it drops is zero by the rows the
+solver's module docstring names: a single-entry row of rule 1, or a chain
+of transport rows ending at a single-entry row.
 """
 
 from fractions import Fraction
@@ -152,16 +153,18 @@ def reference_build_system(poset: Poset, field: RingSpec) -> ReferenceSystem:
 
 def idempotent_rows(poset: Poset, field: RingSpec) -> dict:
     """The nonzero rows of B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0 at the
-    triples (e_xx, b, c) alone, keyed by (x, b, c, target)."""
+    triples (a, b, c) with an idempotent a or b, keyed by (a, b, c, target)."""
     identities = _Identities(ReferenceSystem(poset, field))
     intervals = identities.intervals
     rows = {}
-    for x in poset.elements:
+    for a in intervals:
         for b in intervals:
+            if a.lo != a.hi and b.lo != b.hi:
+                continue
             for c in intervals:
-                for t, row in identities.first(Interval(x, x), b, c).items():
+                for t, row in identities.first(a, b, c).items():
                     if row:
-                        rows[x, b, c, t] = row
+                        rows[a, b, c, t] = row
     return rows
 
 

@@ -345,8 +345,9 @@ def test_verifiers_on_zero_antichain3000():
         (lambda: make_chain(12), integers_mod(7), 15.0),
         (lambda: boolean_lattice(5), Q, 8.0),
         (lambda: make_chain(20), integers_mod(7), 15.0),
+        (lambda: boolean_lattice(6), Q, 30.0),
     ],
-    ids=["bool4-Q", "chain12-Z7", "bool5-Q", "chain20-Z7"],
+    ids=["bool4-Q", "chain12-Z7", "bool5-Q", "chain20-Z7", "bool6-Q"],
 )
 def test_classify_scale(build, ring, bound):
     poset = build()
