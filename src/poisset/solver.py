@@ -45,19 +45,13 @@ grading and rows of basis triples; it uses no fact about chain components.
 Only the rows that meet a live column are built, their other entries
 dropped; with the unit rows of the non-live columns they span the system.
 
-Rows are presolved: a row with one entry, +-x_c = 0, fixes c at zero and
-is not stored; every other row drops its fixed columns, fixes its column
-if one entry is left, and is otherwise eliminated against the stored
-echelon rows.  At the end the fixed columns are substituted into the
-stored rows until no new single-entry row appears.  This is Gaussian
-elimination in another order (x_c = 0 is itself a row).  On every poset
-tested the live build leaves presolve nothing to fix; presolve stays as
-the general path, which the full stream in tests/reference_solver.py takes.
-The reduced row echelon form, which is unique, is the unit rows of the
-non-live and fixed columns plus the reduced stored rows, so rank, free
-columns and basis vectors do not depend on the order.  The nullspace is
-exactly the module of antisymmetric biderivations; classify()
-cross-checks it against the chain classification.
+Every row goes to Echelon.absorb as it is built; a single-entry row is
+the unit row x_c = 0 and is stored as such (on every poset tested the live
+build streams none).  The reduced row echelon form, which is unique, is
+the unit rows of the non-live columns plus the reduced stored rows, so
+rank, free columns and basis vectors do not depend on the order.  The
+nullspace is exactly the module of antisymmetric biderivations;
+classify() cross-checks it against the chain classification.
 """
 
 from __future__ import annotations
@@ -78,12 +72,10 @@ from .poset import Interval, Poset
 
 class LinearSystem(Echelon):
     """The constraint system: the `live` columns (every column until
-    build_system narrows them to rule 2's), the set `fixed` of live
-    columns known to be zero (empty after build_system on every poset
-    tested), and the other independent rows in echelon form, which meet
-    no fixed or non-live column once settle() has run.  The rank counts
-    the unit rows of the non-live and the fixed columns and the stored
-    rows.  Column r * n + t is B(e_i, e_j)(e_t), r the rank of i < j.
+    build_system narrows them to rule 2's) and the independent rows on
+    them in echelon form.  The rank counts the unit rows of the non-live
+    columns and the stored rows.  Column r * n + t is B(e_i, e_j)(e_t),
+    r the rank of i < j.
 
     Every row is homogeneous for the Z^P grading deg e_xy = eps_x - eps_y
     (column B(e_i, e_j)(k) has degree deg k - deg i - deg j), so a row only
@@ -104,11 +96,10 @@ class LinearSystem(Echelon):
         self.num_unknowns = n * (n - 1) // 2 * n
         self.live: range | set[int] = range(self.num_unknowns)
         self.rows_streamed = 0
-        self.fixed: set[int] = set()
 
     @property
     def rank(self) -> int:
-        return self.num_unknowns - len(self.live) + len(self.fixed) + len(self.rows)
+        return self.num_unknowns - len(self.live) + len(self.rows)
 
     def column(self, i: int, j: int, k: int) -> tuple[int, int]:
         """Column index and sign of B(e_i, e_j)(e_k), on interval ranks, i != j."""
@@ -117,36 +108,11 @@ class LinearSystem(Echelon):
             return (self.pair_start[i] + j - i - 1) * n + k, 1
         return (self.pair_start[j] + i - j - 1) * n + k, -1
 
-    def take(self, row: dict) -> None:
-        """Add a canonical row (consumed): drop its fixed columns; if one
-        entry is left its column is fixed, if more the row is absorbed."""
-        fixed = self.fixed
-        for col in fixed.intersection(row):
-            del row[col]
-        if len(row) == 1:
-            fixed.update(row)
-        elif row:
-            self.absorb(row)
-
-    def settle(self) -> None:
-        """Substitute the fixed columns into the stored rows and re-reduce
-        them until no new single-entry row appears.  Afterwards no stored
-        row meets a fixed column."""
-        while True:
-            before = len(self.fixed)
-            rows, self.rows = self.rows, {}
-            for row in rows.values():
-                self.take(row)
-            if len(self.fixed) == before and all(
-                len(row) > 1 for row in self.rows.values()
-            ):
-                return
-
     def satisfied_by(self, vector: dict[int, object]) -> bool:
-        """True iff the vector is zero off the live columns and on every
-        fixed column, and solves every stored row."""
-        red, live, fixed = self.ring.reduce, self.live, self.fixed
-        if any(red(v) for col, v in vector.items() if col not in live or col in fixed):
+        """True iff the vector is zero off the live columns and solves
+        every stored row."""
+        red, live = self.ring.reduce, self.live
+        if any(red(v) for col, v in vector.items() if col not in live):
             return False
         for row in self.rows.values():
             total = 0
@@ -180,7 +146,7 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     triple (a, b, v) at t for each ab = u, B(a, c) e_b of (u, b, v) at t'
     for each e_t e_b = e_t', and e_a B(b, c) of (a, u, v) at t' for each
     e_a e_t = e_t'.  A row is built from its first live term, so once,
-    without its non-live terms, and goes to LinearSystem.take.
+    without its non-live terms, and goes to LinearSystem.absorb.
     rows_streamed counts the nonzero rows built plus one unit row per
     non-live column.
     """
@@ -207,7 +173,7 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
         return column(i, j, k)
 
     system.live = {column(u, v, t)[0] for (u, v), t in commutator.items()}
-    axpy, take, streamed = field.axpy, system.take, 0
+    axpy, absorb, streamed = field.axpy, system.absorb, 0
     for t, ts in enumerate(pairs):
         for u, v in sorted(ts):
             own = column(u, v, t)
@@ -230,9 +196,8 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
                 axpy(row, raw, 1)  # canonical values; terms on one column may cancel
                 if row:
                     streamed += 1
-                    take(row)
+                    absorb(row)
     system.rows_streamed = streamed + system.num_unknowns - len(system.live)
-    system.settle()
     return system
 
 
@@ -263,12 +228,12 @@ def nullspace(system: LinearSystem) -> SolutionBasis:
 
     Back-substitutes the echelon rows in place first; reduced row echelon
     form is unique, so the basis depends only on the system, not on the
-    order its rows were absorbed in.  Non-live and fixed columns are
-    pivots of unit rows: never free, and zero in every basis vector.
+    order its rows were absorbed in.  Non-live columns are pivots of
+    unit rows: never free, and zero in every basis vector.
     """
     system.back_substitute()
-    pivots, red, fixed = system.rows, system.ring.reduce, system.fixed
-    free = sorted(c for c in system.live if c not in pivots and c not in fixed)
+    pivots, red = system.rows, system.ring.reduce
+    free = sorted(c for c in system.live if c not in pivots)
     vecs: dict[int, dict[int, object]] = {j: {j: 1} for j in free}
     for p, row in pivots.items():
         for col, v in row.items():

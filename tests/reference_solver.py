@@ -4,10 +4,10 @@ reference_build_system is the original solver: it streams both Leibniz
 identities and keeps the stored rows fully reduced after every absorbed
 row, so each new pivot rewrites every stored row.  That is slow
 (quadratic in the rank) but follows the definition directly.
-full_stream_build_system is the presolved solver before the live-column
-rule: it streams the first identity on every basis triple and keeps every
-column live.  The tests check that build_system returns the same zero
-columns, rank, free columns and basis vectors as both, and, through
+full_stream_build_system is the solver before the live-column rule: it
+streams the first identity on every basis triple into Echelon.absorb and
+keeps every column live.  The tests check that build_system returns the
+same zero columns, rank, free columns and basis vectors as both, and, through
 idempotent_rows, that each column it drops is zero by the rows the
 solver's module docstring names: a single-entry row of rule 1, or a chain
 of transport rows ending at a single-entry row.
@@ -169,20 +169,19 @@ def idempotent_rows(poset: Poset, field: RingSpec) -> dict:
 
 
 def full_stream_build_system(poset: Poset, field: RingSpec) -> LinearSystem:
-    """The presolved solver streaming the first identity on every triple.
+    """The solver streaming the first identity on every triple.
 
     Every column stays live.  For each triple (a, b, c) the terms of
     B(ab, c) - B(a, c) e_b - e_a B(b, c) are collected per target interval.
-    A target that only one term reaches is the row +-x = 0 and fixes its
-    column at once, with no row built; the other rows have their entries
-    summed and zeros dropped, and go to LinearSystem.take.  rows_streamed
-    counts every nonzero row.
+    A target that only one term reaches is the row +-x = 0, absorbed as the
+    unit row {x: 1}; the other rows have their entries summed and zeros
+    dropped, and are absorbed as they are.  rows_streamed counts every
+    nonzero row.
     """
     system = LinearSystem(poset, field)
     intervals = system.intervals
     n = len(intervals)
-    axpy, take, fixed = field.axpy, system.take, system.fixed
-    fix, fix_all = fixed.add, fixed.update
+    axpy, absorb = field.axpy, system.absorb
 
     # unknown[i][j] = (offset, sign): B(e_i, e_j)(e_k) = sign * x[offset + k];
     # None on the diagonal, where antisymmetry makes B vanish
@@ -208,7 +207,8 @@ def full_stream_build_system(poset: Poset, field: RingSpec) -> LinearSystem:
                 first = unknown[ab][c] if ab is not None else None
                 if first is not None:
                     offset = first[0]
-                    fix_all([offset + t for t in alone])
+                    for t in alone:
+                        absorb({offset + t: 1})
                     streamed += len(alone)
                 second, third = unknown[a][c], unknown[b][c]
                 for t, (k2, k3) in moves.items():
@@ -220,7 +220,7 @@ def full_stream_build_system(poset: Poset, field: RingSpec) -> LinearSystem:
                     if third is not None and k3 is not None:
                         entries.append((third[0] + k3, -third[1]))
                     if len(entries) == 1:  # +-x = 0
-                        fix(entries[0][0])
+                        absorb({entries[0][0]: 1})
                         streamed += 1
                     elif entries:
                         # columns meet where two of the pairs coincide
@@ -231,9 +231,8 @@ def full_stream_build_system(poset: Poset, field: RingSpec) -> LinearSystem:
                         axpy(row, raw, 1)  # canonical values, zeros dropped
                         if row:
                             streamed += 1
-                            take(row)
+                            absorb(row)
     system.rows_streamed = streamed
-    system.settle()
     return system
 
 

@@ -96,17 +96,23 @@ class TestSystemShape:
 
 
 def assert_settled(system):
-    # the unit rows of the non-live and fixed columns and the stored rows
-    # are independent: no stored row is a single entry or meets a zero
+    # the unit rows of the non-live columns and the stored rows are
+    # independent: no stored row is a single entry or meets a non-live column
     for row in system.rows.values():
         assert len(row) > 1
-        assert system.fixed.isdisjoint(row)
         assert all(col in system.live for col in row)
 
 
+def unit_columns(system):
+    """The pivots whose row is a unit row once the system is reduced."""
+    system.back_substitute()
+    return {col for col, row in system.rows.items() if len(row) == 1}
+
+
 def zero_set(system):
-    """The columns the system holds at zero: non-live or fixed."""
-    return set(range(system.num_unknowns)).difference(system.live) | system.fixed
+    """The columns the system holds at zero: non-live, or a unit row's."""
+    non_live = set(range(system.num_unknowns)).difference(system.live)
+    return non_live | unit_columns(system)
 
 
 def assert_same_solution_space(poset, ring):
@@ -179,12 +185,17 @@ def assert_same_as_full_stream(poset, ring):
     if dropped is not None:
         assert not system.satisfied_by({dropped: 1})
         assert system.satisfied_by({dropped: 0})
+    # the full stream keeps every column live and holds its zeros as unit rows
+    unit = min(unit_columns(full), default=None)
+    if unit is not None:
+        assert not full.satisfied_by({unit: 1})
+        assert full.satisfied_by({unit: 0})
 
 
 class TestAgainstFullStream:
     """build_system streams only the rows that meet a live column; the
-    presolved stream of every triple must give the same zeros, rank, free
-    columns and basis."""
+    stream of every triple must give the same zeros, rank, free columns
+    and basis."""
 
     @pytest.mark.parametrize(
         "ring", [Q, integers_mod(3), integers_mod(2)], ids=["Q", "Z3", "Z2"]
@@ -319,7 +330,7 @@ class TestLiveColumns:
 
 
 class TestPresolve:
-    """Single-entry rows fix their column at zero and are never stored."""
+    """The rows each build streams, and the rows the live build absorbs."""
 
     @pytest.mark.parametrize(
         "poset,ring,full,live",
@@ -338,21 +349,25 @@ class TestPresolve:
             assert (system.num_unknowns, system.rows_streamed, system.rank) == counts
 
     def test_only_rows_with_two_live_entries_are_absorbed(self, monkeypatch):
+        # every row built reaches absorb: the live build streams no
+        # single-entry row and no entry off the live columns
         absorbed = []
         absorb = LinearSystem.absorb
 
         def spy(system, row):
             assert len(row) > 1
-            assert system.fixed.isdisjoint(row)
             assert all(col in system.live for col in row)
             absorbed.append(len(row))
             return absorb(system, row)
 
         monkeypatch.setattr(LinearSystem, "absorb", spy)
-        for ring in (Q, integers_mod(2)):
-            system = build_system(crown_plus_chain3(), ring)
-            assert 0 < len(absorbed) < system.rows_streamed
-            absorbed.clear()
+        for _, poset in CORPUS:
+            for ring in (Q, integers_mod(2)):
+                absorbed.clear()
+                system = build_system(poset, ring)
+                non_live = system.num_unknowns - len(system.live)
+                assert len(absorbed) == system.rows_streamed - non_live
+                assert bool(absorbed) == bool(system.live)
 
 
 class TestDimensions:
@@ -401,7 +416,8 @@ class TestSolutionVectors:
                 assert system.satisfied_by(vec)
 
     def test_vector_on_a_fixed_column_is_rejected(self):
-        # the columns that rule 1 keeps and rule 2 drops
+        # the columns that rule 1 keeps and rule 2 drops: zero by transport
+        # rows, so non-live, and satisfied_by holds them at zero
         system = build_system(make_crown(), Q)
         dropped = [col for col in rule_one_live(system) if col not in system.live]
         assert dropped
