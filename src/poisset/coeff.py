@@ -3,8 +3,9 @@
 Every scalar is stored in a canonical form (reduced fraction with positive
 denominator, plain integer, or residue in [0, m)), so structural equality
 coincides with equality in the ring.  All arithmetic is arbitrary precision.
-This module is the one arithmetic kernel: RingSpec's raw-value operations
-(reduce, inv, the sparse axpy) and Echelon's elimination serve every other.
+This module is the one arithmetic kernel: every other module computes with
+RingSpec's raw-value operations (reduce, inv, the sparse axpy), and
+Echelon is the one Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -321,7 +322,10 @@ class Echelon:
     rows maps each pivot column to its row {column: raw value}, whose pivot
     entry is 1 and which is zero left of the pivot.  Stored rows are never
     rewritten while rows are absorbed; back_substitute() brings them to
-    reduced row echelon form in place, once, at the end.
+    reduced row echelon form in place, once, at the end.  Its callers are
+    verify_piecewise_witness, through bracket._span, and the reference
+    Leibniz solvers of the tests; the solver's rows are all x_p = +-x_q,
+    and it solves them with a signed union-find instead.
     """
 
     def __init__(self, ring: RingSpec):

@@ -45,13 +45,52 @@ grading and rows of basis triples; it uses no fact about chain components.
 Only the rows that meet a live column are built, their other entries
 dropped; with the unit rows of the non-live columns they span the system.
 
-Every row goes to Echelon.absorb as it is built; a single-entry row is
-the unit row x_c = 0 and is stored as such (on every poset tested the live
-build streams none).  The reduced row echelon form, which is unique, is
-the unit rows of the non-live columns plus the reduced stored rows, so
-rank, free columns and basis vectors do not depend on the order.  The
-nullspace is exactly the module of antisymmetric biderivations;
-classify() cross-checks it against the chain classification.
+Row shape.  Each row the live build streams reads x_p = +-x_q, with p != q
+live, or x_p = 0.  The row of the triple (a, b, c) at a target t has three
+terms: B(ab, c)(e_t), B(a, c)(e_k) with e_k e_b = e_t, and B(b, c)(e_k')
+with e_a e_k' = e_t.  k and k' are unique where they exist, so each term
+is one column with coefficient +1, -1, -1, times the sign antisymmetry
+gives the column, or is absent.  By rule 2 a term is live only if its
+target is a product of its two arguments, so, writing abc for the product
+e_a e_b e_c and so on, B(ab, c)(e_t) is live only if e_t is abc or cab,
+B(a, c)(e_k) only if e_t = e_k e_b is acb or cab, and B(b, c)(e_k') only
+if e_t = e_a e_k' is abc or acb.  A product of basis elements is nonzero
+only if each one ends where the next starts.  abc and acb both nonzero
+force b = c = [a.hi, a.hi], and then B(b, c) = 0; acb and cab force a = c
+= [a.lo, a.lo], and B(a, c) = 0; abc and cab force a = b = c, and every
+term vanishes.  One nonzero order makes at most two terms live (abc the
+first and third, acb the second and third, cab the first and second), so
+no row has three live terms.  Two live terms on one column have equal
+unordered argument pairs.  For the first and second, {ab, c} = {a, c}:
+ab = c = a would make B(a, c) vanish, so ab = a, the columns are the same
+ordered pair and the coefficients s and -s cancel; the first and third
+cancel the same way.  For the second and third, a = b (b = c = a would
+make B(b, c) vanish), and e_k e_a = e_a e_k = e_t force k = a = t, an
+idempotent; B(a, c)(e_a), a != c, is not live, since e_a e_c = e_a or
+e_c e_a = e_a only for c = a.  So two terms never add to +-2: once the
+terms on one column are summed and zero sums dropped, a row is empty, one
+entry +-1, or two entries +-1 on distinct columns.  The argument uses
+the products of basis elements, antisymmetry and rule 2; it uses no fact
+about chain components.
+
+Solving.  Rows x_p = s x_q, s = +-1, and x_p = 0 make a signed graph on
+the live columns (Zaslavsky, "Signed graphs", Discrete Appl. Math. 4,
+1982).  LinearSystem keeps it as a disjoint-set forest with a sign on
+each parent edge, x_c = s x_parent, joined by size with path compression
+(Tarjan, "Efficiency of a good but not linear set union algorithm", JACM
+22, 1975).  A class is the columns of one tree.  It is dead when a unit
+row meets it, or when a cycle's signs multiply to -1, which gives x = -x
+and so x = 0 over a field of characteristic other than 2; over Z/2, -1 =
+1 and no cycle kills a class.  A class that is not dead is a line of
+solutions, +-1 on each of its columns.  A row of any other shape raises
+ValueError: the build makes none, and nothing falls back to elimination.
+The reduced row echelon form of the system, which is unique, has the unit rows of the
+non-live and dead columns and, in a live class, one row x_c = +-x_f per
+column but the largest, f, its one free column.  So rank, free columns
+and basis vectors are those of elimination and do not depend on the
+order of the rows.  The nullspace is exactly the module of antisymmetric
+biderivations; classify() cross-checks it against the chain
+classification.
 """
 
 from __future__ import annotations
@@ -59,7 +98,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .bracket import Bracket, SigmaMap, extract_sigma, from_sigma
-from .coeff import Echelon, RingSpec
+from .coeff import RingSpec
 from .errors import (
     BijectionViolation,
     NotABiderivation,
@@ -70,24 +109,21 @@ from .errors import (
 from .poset import Interval, Poset
 
 
-class LinearSystem(Echelon):
+class LinearSystem:
     """The constraint system: the `live` columns (every column until
-    build_system narrows them to rule 2's) and the independent rows on
-    them in echelon form.  The rank counts the unit rows of the non-live
-    columns and the stored rows.  Column r * n + t is B(e_i, e_j)(e_t),
-    r the rank of i < j.
-
-    Every row is homogeneous for the Z^P grading deg e_xy = eps_x - eps_y
-    (column B(e_i, e_j)(k) has degree deg k - deg i - deg j), so a row only
-    meets pivot rows of its own degree block: elimination is block-local
-    without any block bookkeeping.
+    build_system narrows them to rule 2's) and a signed disjoint-set forest
+    on them.  up[c] = (p, s) says x_c = s x_p; a column absent from up is
+    the root of its class.  dead holds the roots of the classes held at
+    zero.  The rank counts the unit rows of the non-live columns and the
+    rows that joined two classes or killed a live one.  Column r * n + t is
+    B(e_i, e_j)(e_t), r the rank of i < j.
     """
 
     def __init__(self, poset: Poset, ring: RingSpec):
         if not ring.is_field:
             raise NotAField(f"{ring} is not a field")
-        super().__init__(ring)
         self.poset = poset
+        self.ring = ring
         self.intervals = intervals = poset.intervals()
         self.interval_rank = poset.basis_products().rank
         n = len(intervals)
@@ -96,10 +132,16 @@ class LinearSystem(Echelon):
         self.num_unknowns = n * (n - 1) // 2 * n
         self.live: range | set[int] = range(self.num_unknowns)
         self.rows_streamed = 0
+        self.up: dict[int, tuple[int, int]] = {}
+        self.size: dict[int, int] = {}  # of the classes of more than one column, at roots
+        self.dead: set[int] = set()
+        self.merged = 0
+        # over Z/2, x = -x holds for every x: no cycle kills a class
+        self.signed = ring.modulus != 2
 
     @property
     def rank(self) -> int:
-        return self.num_unknowns - len(self.live) + len(self.rows)
+        return self.num_unknowns - len(self.live) + self.merged
 
     def column(self, i: int, j: int, k: int) -> tuple[int, int]:
         """Column index and sign of B(e_i, e_j)(e_k), on interval ranks, i != j."""
@@ -108,19 +150,91 @@ class LinearSystem(Echelon):
             return (self.pair_start[i] + j - i - 1) * n + k, 1
         return (self.pair_start[j] + i - j - 1) * n + k, -1
 
+    def find(self, c: int) -> tuple[int, int]:
+        """(root, s) with x_c = s x_root; points c and the columns above it
+        straight at the root."""
+        up = self.up
+        step = up.get(c)
+        if step is None:
+            return c, 1
+        root, s = step
+        step = up.get(root)
+        if step is None:
+            return root, s
+        path = [c]
+        while step is not None:
+            path.append(root)
+            root, s = step[0], s * step[1]
+            step = up.get(root)
+        total = s
+        for col in path:  # s is the sign of col to the root
+            old = up[col][1]
+            up[col] = root, s
+            s *= old
+        return root, total
+
+    def join(self, p: int, q: int, s: int) -> None:
+        """Take the row x_p = s x_q, s = +-1."""
+        (rp, sp), (rq, sq) = self.find(p), self.find(q)
+        s *= sp * sq  # x_rp = s x_rq
+        dead = self.dead
+        if rp == rq:
+            if s != 1 and self.signed and rp not in dead:
+                dead.add(rp)
+                self.merged += 1
+            return
+        size = self.size
+        np, nq = size.pop(rp, 1), size.pop(rq, 1)
+        if np > nq:
+            rp, rq = rq, rp
+        self.up[rp] = rq, s  # x_rp = s x_rq either way round, as s = 1 / s
+        size[rq] = np + nq
+        if rp in dead:
+            dead.discard(rp)
+            if rq in dead:
+                return
+            dead.add(rq)
+        self.merged += 1
+
+    def kill(self, p: int) -> None:
+        """Take the row x_p = 0."""
+        root, _ = self.find(p)
+        if root not in self.dead:
+            self.dead.add(root)
+            self.merged += 1
+
+    def take(self, row: list[tuple[int, int]]) -> None:
+        """Take the row sum of coeff * x_col = 0 over its (col, coeff)
+        entries: x_p = +-x_q or x_p = 0, with coefficients +-1.  Any other
+        row raises ValueError; the module docstring proves none is built."""
+        if len(row) == 2:
+            (p, a), (q, b) = row
+            if a in (1, -1) and b in (1, -1) and p != q:
+                return self.join(p, q, -a * b)
+        elif len(row) == 1 and row[0][1] in (1, -1):
+            return self.kill(row[0][0])
+        raise ValueError(f"row {row} is not x_p = +-x_q or x_p = 0")
+
+    def classes(self) -> dict[int, list[tuple[int, int]]]:
+        """Each class by its root: its (column, s) with x_column = s x_root,
+        columns ascending."""
+        found: dict[int, list[tuple[int, int]]] = {}
+        find = self.find
+        for c in sorted(self.live):
+            root, s = find(c)
+            found.setdefault(root, []).append((c, s))
+        return found
+
     def satisfied_by(self, vector: dict[int, object]) -> bool:
-        """True iff the vector is zero off the live columns and solves
-        every stored row."""
-        red, live = self.ring.reduce, self.live
+        """True iff the vector is zero off the live columns and on the dead
+        classes, and x_c = s x_root on every column c of a live class."""
+        red, live, dead, find = self.ring.reduce, self.live, self.dead, self.find
         if any(red(v) for col, v in vector.items() if col not in live):
             return False
-        for row in self.rows.values():
-            total = 0
-            for col, coeff in row.items():
-                v = vector.get(col)
-                if v is not None:
-                    total += coeff * v
-            if red(total):
+        for c in live:
+            root, s = find(c)
+            v = vector.get(c, 0)
+            if red(v) if root in dead else red(v - s * vector.get(root, 0)):
                 return False
         return True
 
@@ -146,7 +260,7 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     triple (a, b, v) at t for each ab = u, B(a, c) e_b of (u, b, v) at t'
     for each e_t e_b = e_t', and e_a B(b, c) of (a, u, v) at t' for each
     e_a e_t = e_t'.  A row is built from its first live term, so once,
-    without its non-live terms, and goes to LinearSystem.absorb.
+    without its non-live terms, by _row, and goes to LinearSystem.take.
     rows_streamed counts the nonzero rows built plus one unit row per
     non-live column.
     """
@@ -154,51 +268,58 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     intervals, column = system.intervals, system.column
     product, right, left, _ = poset.basis_products()
     factors: list[list[tuple[int, int]]] = [[] for _ in intervals]
-    # commutator[u, v] = t iff e_t is e_u e_v or e_v e_u, u != v (at most
-    # one is nonzero); pairs[t] lists those (u, v): B(e_u, e_v)(e_t) is live
-    commutator: dict[tuple[int, int], int] = {}
+    # term[u, v, t] is the (column, sign) of B(e_u, e_v)(e_t) for e_t = e_u e_v
+    # or e_v e_u, u != v (at most one is nonzero): the live terms; pairs[t]
+    # lists those (u, v)
+    term: dict[tuple[int, int, int], tuple[int, int]] = {}
     pairs: list[list[tuple[int, int]]] = [[] for _ in intervals]
     for (a, b), t in product.items():
         factors[t].append((a, b))
         if a != b:
-            commutator[a, b] = commutator[b, a] = t
+            term[a, b, t], term[b, a, t] = column(a, b, t), column(b, a, t)
             pairs[t] += (a, b), (b, a)
     # below[b][t] = k with e_k e_b = e_t; above[a][t] = k with e_a e_k = e_t
     below, above = [dict(moves) for moves in right], [dict(moves) for moves in left]
 
-    def term(i, j, k):
-        """(column, sign) of B(e_i, e_j)(e_k); None if zero or not live."""
-        if k is None or commutator.get((i, j)) != k:
-            return None
-        return column(i, j, k)
-
-    system.live = {column(u, v, t)[0] for (u, v), t in commutator.items()}
-    axpy, absorb, streamed = field.axpy, system.absorb, 0
+    system.live = {col for col, _ in term.values()}
+    live, build, take, streamed = term.get, _row, system.take, 0
     for t, ts in enumerate(pairs):
         for u, v in sorted(ts):
-            own = column(u, v, t)
+            own = term[u, v, t]
             rows = [  # B(ab, c) of (a, b, v) at t
-                (own, term(a, v, below[b].get(t)), term(b, v, above[a].get(t)))
+                (own, live((a, v, below[b].get(t))), live((b, v, above[a].get(t))))
                 for a, b in factors[u]
             ]
             for t2, b in left[t]:  # B(a, c) e_b of (u, b, v) at t2
-                if not term(product.get((u, b)), v, t2):
-                    rows.append((None, own, term(b, v, above[u].get(t2))))
+                if not live((product.get((u, b)), v, t2)):
+                    rows.append((None, own, live((b, v, above[u].get(t2)))))
             # e_a B(b, c) of (a, u, v) at e_a e_t is never a row's first
             # live term: B(au, v) is live there if e_t = e_u e_v or a = v,
             # and B(a, v), at e_a e_v, if e_t = e_v e_u and a != v
             for first, second, third in rows:
-                # B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0 on its live terms
-                raw = {first[0]: first[1]} if first else {}
-                for col, sign in filter(None, (second, third)):
-                    raw[col] = raw.get(col, 0) - sign
-                row: dict[int, object] = {}
-                axpy(row, raw, 1)  # canonical values; terms on one column may cancel
+                row = build(first, second, third)
                 if row:
                     streamed += 1
-                    absorb(row)
+                    take(row)
     system.rows_streamed = streamed + system.num_unknowns - len(system.live)
     return system
+
+
+def _row(first, second, third) -> list[tuple[int, int]]:
+    """The row B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0 on its live terms,
+    each a (column, sign) pair or None, as (column, coefficient) entries:
+    terms on one column summed, zero sums dropped.  Coefficients are plain
+    ints, the same in every ring, so a sum of +-2 is seen over Z/2 too."""
+    terms = [first] if first else []
+    for term in (second, third):
+        if term:
+            terms.append((term[0], -term[1]))
+    if len(terms) > 2 or len(terms) == 2 and terms[0][0] == terms[1][0]:
+        merged: dict[int, int] = {}
+        for col, v in terms:
+            merged[col] = merged.get(col, 0) + v
+        terms = [(col, v) for col, v in merged.items() if v]
+    return terms
 
 
 def _vector_to_bracket(system: LinearSystem, vector: dict[int, object]) -> Bracket:
@@ -226,21 +347,19 @@ def _bracket_to_vector(system: LinearSystem, bracket: Bracket) -> dict[int, obje
 def nullspace(system: LinearSystem) -> SolutionBasis:
     """Basis of the solution space, free columns in ascending order.
 
-    Back-substitutes the echelon rows in place first; reduced row echelon
-    form is unique, so the basis depends only on the system, not on the
-    order its rows were absorbed in.  Non-live columns are pivots of
-    unit rows: never free, and zero in every basis vector.
+    One vector per live class, free at its largest column f and x_c = +-x_f
+    on its other columns c: the basis of the reduced row echelon form.
+    Non-live columns and dead classes are zero in every vector.
     """
-    system.back_substitute()
-    pivots, red = system.rows, system.ring.reduce
-    free = sorted(c for c in system.live if c not in pivots)
-    vecs: dict[int, dict[int, object]] = {j: {j: 1} for j in free}
-    for p, row in pivots.items():
-        for col, v in row.items():
-            if col != p:
-                vecs[col][p] = red(-v)
-    vectors = [_vector_to_bracket(system, vecs[j]) for j in free]
-    return SolutionBasis(vectors, free)
+    red, dead = system.ring.reduce, system.dead
+    vecs = []
+    for root, members in system.classes().items():
+        if root not in dead:
+            free, s = members[-1]
+            vecs.append((free, {c: red(s * sc) for c, sc in members}))
+    vecs.sort(key=lambda pair: pair[0])
+    vectors = [_vector_to_bracket(system, vec) for _, vec in vecs]
+    return SolutionBasis(vectors, [free for free, _ in vecs])
 
 
 class ClassificationReport:

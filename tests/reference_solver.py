@@ -1,5 +1,7 @@
 """Reference Leibniz solvers for poisset.solver.
 
+Both solve by Gaussian elimination on an EchelonSystem, never by the
+signed union-find of poisset.solver; they share only its column layout.
 reference_build_system is the original solver: it streams both Leibniz
 identities and keeps the stored rows fully reduced after every absorbed
 row, so each new pivot rewrites every stored row.  That is slow
@@ -16,11 +18,36 @@ of transport rows ending at a single-entry row.
 from fractions import Fraction
 
 from poisset import Interval, Poset, RingSpec
+from poisset.coeff import Echelon
 from poisset.solver import LinearSystem, SolutionBasis, _vector_to_bracket
 
 
-class ReferenceSystem(LinearSystem):
-    """LinearSystem whose rows are reduced and zero at every other pivot."""
+class EchelonSystem(Echelon):
+    """The unknowns of LinearSystem, every column live, with the rows kept
+    in echelon form by Echelon.absorb; rank is the number of stored rows."""
+
+    def __init__(self, poset: Poset, ring: RingSpec):
+        super().__init__(ring)
+        layout = LinearSystem(poset, ring)  # NotAField over a non-field
+        self.poset = poset
+        self.intervals = layout.intervals
+        self.interval_rank = layout.interval_rank
+        self.pair_start = layout.pair_start
+        self.num_unknowns = layout.num_unknowns
+        self.column = layout.column
+        self.rows_streamed = 0
+
+    def satisfied_by(self, vector: dict[int, object]) -> bool:
+        """True iff the vector solves every stored row."""
+        red = self.ring.reduce
+        return not any(
+            red(sum(coeff * vector.get(col, 0) for col, coeff in row.items()))
+            for row in self.rows.values()
+        )
+
+
+class ReferenceSystem(EchelonSystem):
+    """EchelonSystem whose rows are reduced and zero at every other pivot."""
 
     def _reduce(self, value):
         """Its own ring reduction: the reference shares no arithmetic with
@@ -168,7 +195,7 @@ def idempotent_rows(poset: Poset, field: RingSpec) -> dict:
     return rows
 
 
-def full_stream_build_system(poset: Poset, field: RingSpec) -> LinearSystem:
+def full_stream_build_system(poset: Poset, field: RingSpec) -> EchelonSystem:
     """The solver streaming the first identity on every triple.
 
     Every column stays live.  For each triple (a, b, c) the terms of
@@ -178,7 +205,7 @@ def full_stream_build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     dropped, and are absorbed as they are.  rows_streamed counts every
     nonzero row.
     """
-    system = LinearSystem(poset, field)
+    system = EchelonSystem(poset, field)
     intervals = system.intervals
     n = len(intervals)
     axpy, absorb = field.axpy, system.absorb
@@ -236,8 +263,10 @@ def full_stream_build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     return system
 
 
-def reference_nullspace(system: ReferenceSystem) -> SolutionBasis:
-    """Basis of the solution space, free columns in ascending order."""
+def reference_nullspace(system: EchelonSystem) -> SolutionBasis:
+    """Basis of the solution space, free columns in ascending order; brings
+    the rows to reduced row echelon form first."""
+    system.back_substitute()
     one = Fraction(1) if system.ring.kind == "Q" else 1
     pivots = system.rows
     free = [c for c in range(system.num_unknowns) if c not in pivots]

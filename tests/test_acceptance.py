@@ -32,7 +32,10 @@ Run with -v to get one pass/fail line per criterion:
     Jacobi checks and is_standard take < 1 s each, with exact pass counts
   * classification of the boolean lattice on 4 atoms over Q (262,440
     unknowns), < 10 s, and of the 12-chain over Z/7 (234,234 unknowns),
-    < 15 s: dimension 1, matching the one chain component
+    < 15 s; of bool5 over Q, < 8 s, the 20-chain over Z/7, < 15 s, bool6
+    over Q, < 30 s, bool7 over Q (16,256 live columns), < 20 s, and the
+    40-chain over Z/7 (11,440 live columns), < 20 s: dimension 1, matching
+    the one chain component
 """
 
 import json
@@ -346,8 +349,10 @@ def test_verifiers_on_zero_antichain3000():
         (lambda: boolean_lattice(5), Q, 8.0),
         (lambda: make_chain(20), integers_mod(7), 15.0),
         (lambda: boolean_lattice(6), Q, 30.0),
+        (lambda: boolean_lattice(7), Q, 20.0),
+        (lambda: make_chain(40), integers_mod(7), 20.0),
     ],
-    ids=["bool4-Q", "chain12-Z7", "bool5-Q", "chain20-Z7", "bool6-Q"],
+    ids=["bool4-Q", "chain12-Z7", "bool5-Q", "chain20-Z7", "bool6-Q", "bool7-Q", "chain40-Z7"],
 )
 def test_classify_scale(build, ring, bound):
     poset = build()

@@ -1,7 +1,8 @@
 """Brute-force linear solver vs the chain-component parametrization.
 
-The solver knows nothing about chain components: it row-reduces the
-Leibniz identity over the unknown table entries.  Its solution space
+The solver knows nothing about chain components: it solves the Leibniz
+identity over the unknown table entries, whose rows all read x_p = +-x_q,
+with a signed union-find.  Its solution space
 must then coincide with the span of the component indicator brackets --
 that agreement is the point of the whole construction, so these tests
 treat any mismatch as a hard failure.
@@ -46,7 +47,7 @@ from poisset import (
 )
 from poisset import solver
 from poisset.errors import BijectionViolation, NotABiderivation, NotAField, RingMismatch
-from poisset.solver import SolutionBasis, _bracket_to_vector
+from poisset.solver import SolutionBasis, _bracket_to_vector, _row
 from reference_solver import (
     full_stream_build_system,
     idempotent_rows,
@@ -96,23 +97,31 @@ class TestSystemShape:
 
 
 def assert_settled(system):
-    # the unit rows of the non-live columns and the stored rows are
-    # independent: no stored row is a single entry or meets a non-live column
-    for row in system.rows.values():
-        assert len(row) > 1
-        assert all(col in system.live for col in row)
+    # the forest holds only live columns, dead marks only roots, the sizes
+    # kept at roots are the class sizes, and the rank counts the unit rows
+    # of the non-live columns and every column of a live class but one
+    live = system.live
+    assert all(c in live and p in live for c, (p, _) in system.up.items())
+    classes = system.classes()
+    assert system.dead <= classes.keys()
+    for root, members in classes.items():
+        assert len(members) == system.size.get(root, 1)
+    balanced = sum(root not in system.dead for root in classes)
+    assert system.rank == system.num_unknowns - balanced
 
 
 def unit_columns(system):
-    """The pivots whose row is a unit row once the system is reduced."""
+    """The pivots of an EchelonSystem whose row is a unit row once the
+    system is reduced."""
     system.back_substitute()
     return {col for col, row in system.rows.items() if len(row) == 1}
 
 
 def zero_set(system):
-    """The columns the system holds at zero: non-live, or a unit row's."""
+    """The columns a LinearSystem holds at zero: non-live, or in a dead class."""
     non_live = set(range(system.num_unknowns)).difference(system.live)
-    return non_live | unit_columns(system)
+    classes = system.classes()
+    return non_live.union(*({c for c, _ in classes[root]} for root in system.dead))
 
 
 def assert_same_solution_space(poset, ring):
@@ -128,9 +137,10 @@ def assert_same_solution_space(poset, ring):
 
 
 class TestAgainstReference:
-    """The echelon solver streams one identity; the reference streams both
-    and keeps its rows fully reduced.  Reduced row echelon form is unique,
-    so the two must agree column for column."""
+    """The solver streams one identity into a signed union-find; the
+    reference streams both and keeps its rows fully reduced.  Reduced row
+    echelon form is unique, and the solver's basis is the one it gives, so
+    the two must agree column for column."""
 
     # Z/2 is the one field where -1 = 1, so the signs that antisymmetry
     # puts on the unknowns drop out
@@ -163,20 +173,24 @@ class TestAgainstReference:
         assert first.vectors == second.vectors
 
     def test_unit_pivots_keep_integer_rows(self):
+        # over Q every relation the forest keeps is x_c = +-x_p with an int
+        # sign, and so is every value of a basis vector: no Fraction arithmetic
         system = build_system(make_chain(3), Q)
-        nullspace(system)
-        values = [v for row in system.rows.values() for v in row.values()]
-        assert all(type(v) is int for v in values)
+        (vector,) = nullspace(system).vectors
+        signs = [s for _, s in system.up.values()]
+        assert signs and all(type(s) is int and s in (1, -1) for s in signs)
+        values = [c.value for i, j in vector.stored_pairs() for c in vector.value(i, j).coeffs.values()]
+        assert values and all(v in (1, -1) and v.denominator == 1 for v in values)
 
 
 def assert_same_as_full_stream(poset, ring):
     system = build_system(poset, ring)
     full = full_stream_build_system(poset, ring)
     assert system.num_unknowns == full.num_unknowns
-    assert zero_set(system) == zero_set(full)
+    assert zero_set(system) == unit_columns(full)
     assert system.rank == full.rank
     assert_settled(system)
-    basis, expected = nullspace(system), nullspace(full)
+    basis, expected = nullspace(system), reference_nullspace(full)
     assert basis.free_columns == expected.free_columns
     assert basis.vectors == expected.vectors
     dropped = next(
@@ -349,25 +363,111 @@ class TestPresolve:
             assert (system.num_unknowns, system.rows_streamed, system.rank) == counts
 
     def test_only_rows_with_two_live_entries_are_absorbed(self, monkeypatch):
-        # every row built reaches absorb: the live build streams no
+        # every row built reaches the union step: the live build streams no
         # single-entry row and no entry off the live columns
-        absorbed = []
-        absorb = LinearSystem.absorb
+        joined = []
+        join = LinearSystem.join
 
-        def spy(system, row):
-            assert len(row) > 1
-            assert all(col in system.live for col in row)
-            absorbed.append(len(row))
-            return absorb(system, row)
+        def spy(system, p, q, s):
+            assert p != q and p in system.live and q in system.live
+            assert s in (1, -1)
+            joined.append((p, q))
+            return join(system, p, q, s)
 
-        monkeypatch.setattr(LinearSystem, "absorb", spy)
+        def unit_row(system, p):
+            pytest.fail(f"single-entry row on column {p}")
+
+        monkeypatch.setattr(LinearSystem, "join", spy)
+        monkeypatch.setattr(LinearSystem, "kill", unit_row)
         for _, poset in CORPUS:
             for ring in (Q, integers_mod(2)):
-                absorbed.clear()
+                joined.clear()
                 system = build_system(poset, ring)
                 non_live = system.num_unknowns - len(system.live)
-                assert len(absorbed) == system.rows_streamed - non_live
-                assert bool(absorbed) == bool(system.live)
+                assert len(joined) == system.rows_streamed - non_live
+                assert bool(joined) == bool(system.live)
+
+
+class TestSignedUnionFind:
+    """The union step on hand-made rows, on the 9 columns of the 2-chain's
+    system before build_system narrows them, all live; the rows here touch
+    columns 0..3 only."""
+
+    @staticmethod
+    def system(ring):
+        system = LinearSystem(make_chain(2), ring)
+        assert system.rank == 0 and len(system.live) == system.num_unknowns == 9
+        return system
+
+    @pytest.mark.parametrize(
+        "ring,dead", [(Q, True), (integers_mod(3), True), (integers_mod(2), False)],
+        ids=["Q", "Z3", "Z2"],
+    )
+    def test_odd_signed_cycle(self, ring, dead):
+        # x0 = x1, x1 = x2, x2 = -x0: x0 = -x0, zero unless -1 = 1
+        system = self.system(ring)
+        system.take([(0, 1), (1, -1)])
+        system.take([(1, 1), (2, -1)])
+        assert system.rank == 2 and not system.dead
+        system.take([(2, 1), (0, 1)])
+        assert bool(system.dead) == dead
+        assert system.rank == (3 if dead else 2)
+        assert system.satisfied_by({0: 1, 1: 1, 2: 1}) == (not dead)
+        assert system.satisfied_by({0: 0, 1: 0, 2: 0})
+        assert_settled(system)
+        assert nullspace(system).dimension == 9 - system.rank
+
+    def test_unit_row_kills_its_class(self):
+        system = self.system(Q)
+        system.join(0, 1, -1)
+        assert system.satisfied_by({0: Fraction(2), 1: Fraction(-2)})
+        system.take([(1, -1)])
+        assert system.rank == 2 and system.dead == {system.find(0)[0]}
+        assert not system.satisfied_by({0: Fraction(2), 1: Fraction(-2)})
+        assert not system.satisfied_by({0: Fraction(2)})
+        assert system.satisfied_by({3: Fraction(5)})
+        assert 0 not in nullspace(system).free_columns
+        assert_settled(system)
+
+    def test_dead_class_joined_to_a_live_one_stays_dead(self):
+        system = self.system(Q)
+        system.kill(0)
+        system.join(1, 2, 1)
+        assert system.rank == 2
+        system.join(2, 0, -1)  # dead with live: the live class dies
+        assert system.rank == 3 and len(system.dead) == 1
+        system.kill(3)
+        system.join(3, 1, 1)  # dead with dead: nothing new is fixed
+        (root,) = system.dead
+        assert system.rank == 4
+        assert {c for c, _ in system.classes()[root]} == {0, 1, 2, 3}
+        assert zero_set(system) == {0, 1, 2, 3}
+        assert nullspace(system).free_columns == [4, 5, 6, 7, 8]
+        assert_settled(system)
+
+    def test_row_builder_merges_terms_on_one_column(self):
+        # first - second - third, terms as (column, sign)
+        assert _row((5, 1), (7, -1), None) == [(5, 1), (7, 1)]
+        assert _row(None, (5, 1), (7, 1)) == [(5, -1), (7, -1)]
+        assert _row((5, -1), None, (5, -1)) == []
+        assert _row(None, (5, 1), None) == [(5, -1)]
+        assert _row((5, 1), (7, 1), (7, 1)) == [(5, 1), (7, -2)]
+        assert _row((5, 1), (5, 1), (7, -1)) == [(7, 1)]
+
+    @pytest.mark.parametrize(
+        "row",
+        [[(10, 1), (20, 1), (30, -1)], [(10, 2), (20, 1)], [(10, 1), (20, -2)], [(10, -2)]],
+        ids=["three-entries", "two-first", "minus-two-second", "minus-two-alone"],
+    )
+    @pytest.mark.parametrize(
+        "ring", [Q, integers_mod(2), integers_mod(3)], ids=["Q", "Z2", "Z3"]
+    )
+    def test_other_row_shapes_raise(self, monkeypatch, ring, row):
+        # forced through a patched row builder: build_system has no fallback,
+        # and over Z/2 and Z/3 a coefficient 2 is caught before any reduction
+        monkeypatch.setattr(solver, "_row", lambda first, second, third: row)
+        with pytest.raises(ValueError, match="is not x_p = "):
+            build_system(make_chain(2), ring)
 
 
 class TestDimensions:
