@@ -29,7 +29,7 @@ from .errors import (
     PosetMismatch,
     RingMismatch,
 )
-from .poset import Interval, Poset, StrictPair
+from .poset import Interval, PairPartition, Poset, StrictPair
 
 
 class CheckReport:
@@ -87,9 +87,7 @@ class SigmaMap:
     def __init__(self, poset: Poset, ring: RingSpec, values: Mapping):
         self.poset = poset
         self.ring = ring
-        total: dict[StrictPair, Scalar] = {
-            pair: ring.zero for pair in poset.strict_pairs()
-        }
+        total: dict[StrictPair, Scalar] = dict.fromkeys(poset.strict_pairs(), ring.zero)
         for key, scalar in values.items():
             lo, hi = key
             pair = StrictPair(lo, hi)
@@ -110,9 +108,14 @@ class SigmaMap:
 
     def is_chain_constant(self) -> bool:
         """True iff the map takes one value on each chain component."""
-        for cls in self.poset.chain_components():
-            first = self.values[cls[0]]
-            if any(self.values[pair] != first for pair in cls[1:]):
+        return self._constant_on(self.poset.chain_components())
+
+    def _constant_on(self, classes: PairPartition) -> bool:
+        """True iff the map takes one value on each of the classes."""
+        values = self.values
+        for cls in classes:
+            first = values[cls[0]]
+            if any(values[pair] != first for pair in cls[1:]):
                 return False
         return True
 
@@ -418,14 +421,20 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
     return _biderivation(bracket, check_antisymmetric(bracket).ok)
 
 
+def _factors(basis) -> dict[int, list[tuple[int, int]]]:
+    """The rank pairs (a, b) with e_a e_b = e_t, by t."""
+    factors: dict[int, list[tuple[int, int]]] = {}
+    for ab, t in basis.product.items():
+        factors.setdefault(t, []).append(ab)
+    return factors
+
+
 def _biderivation(bracket: Bracket, antisym: bool) -> CheckReport:
     report = CheckReport("biderivation")
     ivs = bracket.poset.intervals()
     basis = bracket.poset.basis_products()
     table = _rank_table(bracket, basis.rank)
-    factors: dict[int, list[tuple[int, int]]] = {}  # the (a, b) with ab = t
-    for ab, t in basis.product.items():
-        factors.setdefault(t, []).append(ab)
+    factors = _factors(basis)
     by_right: dict[int, list[tuple[int, dict]]] = {}
     by_left: dict[int, list[tuple[int, dict]]] = {}
     for (i, c), values in table.items():
@@ -528,7 +537,14 @@ def check_jacobi(bracket: Bracket) -> CheckReport:
 def _require_biderivation(bracket: Bracket):
     if not check_antisymmetric(bracket).ok:
         raise NotABiderivation("bracket is not antisymmetric")
-    if not _biderivation(bracket, antisym=True).ok:
+    # for an antisymmetric table the second Leibniz identity at (a, b, c) is
+    # minus the first at (b, c, a) (see poisset.solver), so both hold iff
+    # the first does: one pass gives check_biderivation's verdict
+    basis = bracket.poset.basis_products()
+    by_right: dict[int, list[tuple[int, dict]]] = {}
+    for (i, c), values in _rank_table(bracket, basis.rank).items():
+        by_right.setdefault(c, []).append((i, values))
+    if _leibniz_failures(by_right, _factors(basis), basis, bracket.ring.reduce):
         raise NotABiderivation("bracket violates a Leibniz identity")
 
 
@@ -549,7 +565,12 @@ def _commutators(poset: Poset) -> list[tuple[int, int, int, int]]:
 
 def from_sigma(sigma: SigmaMap) -> Bracket:
     """The bracket B(f, g)(x, y) = sigma(x, y) [f, g](x, y), zero on loops."""
-    if not sigma.is_chain_constant():
+    return _from_sigma(sigma, sigma.poset.chain_components())
+
+
+def _from_sigma(sigma: SigmaMap, classes: PairPartition) -> Bracket:
+    """from_sigma, given the chain components of sigma's poset."""
+    if not sigma._constant_on(classes):
         raise NotChainConstant("sigma takes two values on one chain component")
     P, R = sigma.poset, sigma.ring
     ivs = P.intervals()
@@ -571,10 +592,13 @@ def extract_sigma(bracket: Bracket, check: bool = True) -> SigmaMap:
     if check:
         _require_biderivation(bracket)
     P, R = bracket.poset, bracket.ring
+    full, empty = bracket._full, {}
     values = {}
-    for lo, hi in P.strict_pairs():
-        val = bracket.value(Interval(lo, lo), Interval(lo, hi))
-        values[(lo, hi)] = val.coeff(lo, hi)
+    for pair in P.strict_pairs():
+        lo, hi = pair
+        value = full.get((Interval(lo, lo), Interval(lo, hi)), empty).get(Interval(lo, hi))
+        if value is not None:
+            values[pair] = Scalar(R, value)
     return SigmaMap(P, R, values)
 
 

@@ -97,7 +97,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .bracket import Bracket, SigmaMap, extract_sigma, from_sigma
+from .bracket import Bracket, SigmaMap, _from_sigma, extract_sigma
 from .coeff import RingSpec
 from .errors import (
     BijectionViolation,
@@ -335,12 +335,16 @@ def _vector_to_bracket(system: LinearSystem, vector: dict[int, object]) -> Brack
 
 
 def _bracket_to_vector(system: LinearSystem, bracket: Bracket) -> dict[int, object]:
+    """The solution vector of an antisymmetric bracket: its raw values
+    B(e_i, e_j)(e_k) with i before j, the columns' orientation."""
     if bracket.ring != system.ring:
         raise RingMismatch("bracket ring differs from the system's field")
-    rank, vector = system.interval_rank, {}
-    for (i, j) in bracket.stored_pairs():
-        for k, c in bracket.value(i, j).coeffs.items():
-            vector[system.column(rank[i], rank[j], rank[k])[0]] = c.value
+    rank, column, vector = system.interval_rank, system.column, {}
+    for (i, j), coeffs in bracket._full.items():
+        ri, rj = rank[i], rank[j]
+        if ri < rj:
+            for k, value in coeffs.items():
+                vector[column(ri, rj, rank[k])[0]] = value
     return vector
 
 
@@ -412,7 +416,7 @@ def classify(poset: Poset, field: RingSpec) -> ClassificationReport:
         except NotABiderivation:
             raise BijectionViolation("solver vector fails a bracket check") from None
         try:
-            reproduced = from_sigma(sigma)
+            reproduced = _from_sigma(sigma, components)
         except NotChainConstant:
             raise BijectionViolation("solver vector's sigma is not chain-constant") from None
         if reproduced != vector:
@@ -423,7 +427,7 @@ def classify(poset: Poset, field: RingSpec) -> ClassificationReport:
         indicator = SigmaMap(
             poset, field, {pair: field.one for pair in cls}
         )
-        candidate = from_sigma(indicator)
+        candidate = _from_sigma(indicator, components)
         if not system.satisfied_by(_bracket_to_vector(system, candidate)):
             raise BijectionViolation(
                 "indicator bracket falls outside the solver space"

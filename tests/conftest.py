@@ -11,7 +11,15 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
-from poisset import Poset, SigmaMap, from_covers, make_chain, make_crown
+from poisset import (
+    Bracket,
+    IncidenceElement,
+    Poset,
+    SigmaMap,
+    from_covers,
+    make_chain,
+    make_crown,
+)
 
 
 def antichain(n: int) -> Poset:
@@ -103,6 +111,29 @@ def posets(draw, max_size=6):
     # i < j in label order keeps the relation acyclic
     covers = [(labels[i], labels[j]) for i, j in edges if i < j]
     return Poset(labels, covers)
+
+
+@st.composite
+def antisymmetric_tables(draw, rings):
+    """An antisymmetric table of random values: B(e_i, e_j) for up to eight
+    pairs i before j, the constructor adding the mirrors, each of one to
+    three terms at any interval, off the commutator's target and on the
+    diagonal as well."""
+    poset = draw(posets(max_size=5))
+    ring = draw(st.sampled_from(rings))
+    ivs = poset.intervals()
+    index = st.integers(0, len(ivs) - 1)
+    table = {}
+    for i, j, terms in draw(
+        st.lists(
+            st.tuples(index, index, st.lists(st.tuples(index, st.integers(-3, 3)), min_size=1, max_size=3)),
+            max_size=8,
+        )
+    ):
+        if i < j:
+            coeffs = {ivs[k]: ring.scalar(c) for k, c in terms}
+            table[ivs[i], ivs[j]] = IncidenceElement(poset, ring, coeffs)
+    return Bracket.from_basis_table(poset, ring, table)
 
 
 def random_sigma(poset: Poset, ring, rng) -> SigmaMap:

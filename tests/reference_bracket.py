@@ -6,7 +6,10 @@ every label triple and quadruple through `Bracket.evaluate`.  That
 follows the definitions directly and is slow on large posets;
 `tests/test_bracket.py` checks that the output-sensitive verifiers and
 lemma suite return the same report, failures in the same order, and
-that `is_standard` returns the same witness.  The product helpers are
+that `is_standard` returns the same witness.  `require_biderivation`,
+the gate of every check=True entry point and of `lemma_suite(strict=True)`,
+runs both exhaustive checks, and `extract_sigma` reads sigma through
+`Bracket.value` and `IncidenceElement.coeff`.  The product helpers are
 copied here so that the reference shares no enumeration code with the
 module it checks; `_basis_products`, the n^2 scan over all interval
 pairs, is also the reference that `tests/test_poset.py` checks
@@ -21,10 +24,10 @@ from poisset import (
     CheckReport,
     IncidenceElement,
     Interval,
-    extract_sigma,
+    SigmaMap,
     random_element,
 )
-from poisset.bracket import _require_biderivation
+from poisset.errors import NotABiderivation
 
 
 def _basis_products(poset):
@@ -183,6 +186,26 @@ def check_jacobi(bracket) -> CheckReport:
     return report
 
 
+def require_biderivation(bracket):
+    """Raise NotABiderivation unless both exhaustive checks pass."""
+    if not check_antisymmetric(bracket).ok:
+        raise NotABiderivation("bracket is not antisymmetric")
+    if not check_biderivation(bracket).ok:
+        raise NotABiderivation("bracket violates a Leibniz identity")
+
+
+def extract_sigma(bracket, check: bool = True) -> SigmaMap:
+    """sigma(x, y) = B(e_x, e_xy)(x, y), read through the element wrappers."""
+    if check:
+        require_biderivation(bracket)
+    P, R = bracket.poset, bracket.ring
+    values = {}
+    for lo, hi in P.strict_pairs():
+        val = bracket.value(Interval(lo, lo), Interval(lo, hi))
+        values[(lo, hi)] = val.coeff(lo, hi)
+    return SigmaMap(P, R, values)
+
+
 def is_standard(bracket, check: bool = True):
     """The central witness of poisset.is_standard, or None, one scan of
     all strict pairs per connected component."""
@@ -218,7 +241,7 @@ def lemma_suite(
     bracket verify as an antisymmetric biderivation up front.
     """
     if strict:
-        _require_biderivation(bracket)
+        require_biderivation(bracket)
     report = CheckReport("lemma_suite")
     P, R = bracket.poset, bracket.ring
     labels = P.elements

@@ -17,7 +17,7 @@ of transport rows ending at a single-entry row.
 
 from fractions import Fraction
 
-from poisset import Interval, Poset, RingSpec
+from poisset import Bracket, Interval, Poset, RingSpec
 from poisset.coeff import Echelon
 from poisset.solver import LinearSystem, SolutionBasis, _vector_to_bracket
 
@@ -279,3 +279,13 @@ def reference_nullspace(system: EchelonSystem) -> SolutionBasis:
                 vec[p] = -v if system.ring.kind == "Q" else (-v) % system.ring.modulus
         vectors.append(_vector_to_bracket(system, vec))
     return SolutionBasis(vectors, free)
+
+
+def bracket_to_vector(system, bracket: Bracket) -> dict[int, object]:
+    """The solution vector of an antisymmetric bracket, read pair by pair
+    through Bracket.stored_pairs and the element wrappers."""
+    rank, vector = system.interval_rank, {}
+    for i, j in bracket.stored_pairs():
+        for k, c in bracket.value(i, j).coeffs.items():
+            vector[system.column(rank[i], rank[j], rank[k])[0]] = c.value
+    return vector

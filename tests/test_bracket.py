@@ -17,6 +17,7 @@ import reference_bracket
 from conftest import (
     CORPUS,
     antichain,
+    antisymmetric_tables,
     corpus_params,
     crown_plus_chain3,
     diamond,
@@ -1083,3 +1084,105 @@ class TestIsStandardAgainstReference:
         assert is_standard(bracket, check=False) == reference_bracket.is_standard(
             bracket, check=False
         )
+
+
+# -- the one-pass gate and the raw sigma read against their references --------
+
+
+@st.composite
+def bench_corrupted_tables(draw, rings=RINGS):
+    """A from_sigma table in raw storage, both orientations, with one
+    coefficient added: B(e_i, e_j) gains e_xx for a stored pair whose left
+    interval i = [x, y] is strict, as the bench's corrupted tables do."""
+    bracket = draw(sigma_tables(rings))
+    poset, ring = bracket.poset, bracket.ring
+    table = {p: bracket.value(*p) for p in bracket._full}
+    strict = [p for p in table if p[0].lo != p[0].hi]
+    if strict:
+        pair = draw(st.sampled_from(strict))
+        table[pair] = table[pair] + el(poset, {(pair[0].lo, pair[0].lo): 1}, ring)
+    return Bracket.from_basis_table(poset, ring, table, antisymmetric=False)
+
+
+TABLE_KINDS = {
+    "sigma": sigma_tables(RINGS),
+    "antisymmetric": antisymmetric_tables(RINGS),
+    "raw": raw_tables(),
+    "bench_corrupted": bench_corrupted_tables(),
+}
+
+
+def gate_verdict(require, bracket):
+    """The message of the NotABiderivation that require raises, or None."""
+    try:
+        require(bracket)
+    except NotABiderivation as exc:
+        return str(exc)
+    return None
+
+
+def raw_sigma(sigma):
+    """Each value of a sigma map with the type of its raw ring value."""
+    return [(pair, type(v.value), v.value) for pair, v in sigma.values.items()]
+
+
+class TestOnePassGate:
+    """_require_biderivation, once antisymmetry holds, checks the first
+    Leibniz identity alone; it must raise exactly when the exhaustive
+    checks report a failure, with the same message."""
+
+    @pytest.mark.parametrize("kind", list(TABLE_KINDS))
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_same_verdict_as_the_exhaustive_checks(self, kind, data):
+        bracket = data.draw(TABLE_KINDS[kind])
+        got = gate_verdict(poisset.bracket._require_biderivation, bracket)
+        assert got == gate_verdict(reference_bracket.require_biderivation, bracket)
+
+    def test_each_verdict_comes_up(self):
+        sigma = from_sigma(crown_sigma(1, 2, 3, 4))
+        half = Bracket.from_basis_table(
+            CROWN, Q, {(("1", "1"), ("1", "3")): el(CROWN, {("1", "3"): 1})},
+            antisymmetric=False,
+        )
+        leibniz = Bracket.from_basis_table(
+            CROWN, Q, {(("1", "1"), ("2", "2")): el(CROWN, {("1", "3"): 1})}
+        )
+        for bracket, want in (
+            (sigma, None),
+            (half, "bracket is not antisymmetric"),
+            (leibniz, "bracket violates a Leibniz identity"),
+        ):
+            assert gate_verdict(poisset.bracket._require_biderivation, bracket) == want
+            assert gate_verdict(reference_bracket.require_biderivation, bracket) == want
+
+
+class TestRawSigmaRead:
+    """extract_sigma reads sigma off the raw table; the reference reads it
+    through Bracket.value and IncidenceElement.coeff."""
+
+    @pytest.mark.parametrize("kind", ["antisymmetric", "raw", "bench_corrupted"])
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_same_values_as_the_wrapped_read(self, kind, data):
+        bracket = data.draw(TABLE_KINDS[kind])
+        got = extract_sigma(bracket, check=False)
+        want = reference_bracket.extract_sigma(bracket, check=False)
+        assert raw_sigma(got) == raw_sigma(want)
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_stored_zero_and_off_target_values(self, ring):
+        # a raw table as a caller may build it: a stored zero at sigma's
+        # target, off-target and diagonal terms, a diagonal pair
+        e = {iv: Interval(*iv) for iv in CROWN.intervals()}
+        table = {
+            (e["1", "1"], e["1", "3"]): {e["1", "3"]: 0, e["1", "1"]: 2},
+            (e["1", "1"], e["1", "4"]): {e["1", "4"]: 3, e["2", "4"]: 1},
+            (e["2", "2"], e["2", "2"]): {e["2", "3"]: 1},
+            (e["2", "2"], e["2", "3"]): {e["1", "3"]: 1},
+        }
+        bracket = Bracket(CROWN, ring, table, antisymmetric_mode=False)
+        got = extract_sigma(bracket, check=False)
+        assert raw_sigma(got) == raw_sigma(reference_bracket.extract_sigma(bracket, check=False))
+        assert got.value("1", "4").value == 3 and got.value("2", "3").is_zero()

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from conftest import (
     CORPUS,
     antichain,
+    antisymmetric_tables,
     boolean_lattice,
     corpus_params,
     crown_plus_chain3,
@@ -29,8 +30,10 @@ from conftest import (
 from poisset import (
     INTEGERS,
     RATIONALS,
+    Bracket,
     Interval,
     LinearSystem,
+    Poset,
     SigmaMap,
     build_system,
     check_antisymmetric,
@@ -49,6 +52,7 @@ from poisset import solver
 from poisset.errors import BijectionViolation, NotABiderivation, NotAField, RingMismatch
 from poisset.solver import SolutionBasis, _bracket_to_vector, _row
 from reference_solver import (
+    bracket_to_vector,
     full_stream_build_system,
     idempotent_rows,
     reference_build_system,
@@ -530,6 +534,21 @@ class TestSolutionVectors:
         system = build_system(make_chain(2), Q)
         assert not system.satisfied_by({0: Fraction(1)})
 
+    @settings(deadline=None, max_examples=100)
+    @given(bracket=antisymmetric_tables([Q, integers_mod(2), integers_mod(5)]))
+    def test_vector_reads_what_the_wrapped_walk_reads(self, bracket):
+        # classify passes only antisymmetric brackets; a raw table keyed at
+        # the pairs i before j alone holds the same entries
+        system = LinearSystem(bracket.poset, bracket.ring)
+        rank = system.interval_rank
+        one_side = {p: v for p, v in bracket._full.items() if rank[p[0]] < rank[p[1]]}
+        raw = Bracket(bracket.poset, bracket.ring, one_side, antisymmetric_mode=False)
+        for b in (bracket, raw):
+            got, want = _bracket_to_vector(system, b), bracket_to_vector(system, b)
+            assert {c: (type(v), v) for c, v in got.items()} == {
+                c: (type(v), v) for c, v in want.items()
+            }
+
     def test_vector_ring_must_match(self):
         system = build_system(make_crown(), Q)
         bracket = from_sigma(
@@ -554,6 +573,14 @@ class TestClassify:
         finally:
             sys.setprofile(None)
         assert report.dimension == 4 and len(calls) == 4
+
+    def test_one_chain_component_partition(self, monkeypatch):
+        # every from_sigma of the certification reuses classify's partition
+        calls, real = [], Poset.chain_components
+        monkeypatch.setattr(Poset, "chain_components", lambda self: calls.append(self) or real(self))
+        poset = crown_plus_chain3()
+        report = classify(poset, Q)
+        assert report.dimension == 5 and calls == [poset]
 
     def test_crown_over_rationals(self):
         report = classify(make_crown(), Q)
