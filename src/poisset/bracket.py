@@ -421,12 +421,13 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
     return _biderivation(bracket, check_antisymmetric(bracket).ok)
 
 
-def _factors(basis) -> dict[int, list[tuple[int, int]]]:
-    """The rank pairs (a, b) with e_a e_b = e_t, by t."""
-    factors: dict[int, list[tuple[int, int]]] = {}
-    for ab, t in basis.product.items():
-        factors.setdefault(t, []).append(ab)
-    return factors
+def _by_right(table: dict[tuple[int, int], dict]) -> dict[int, list]:
+    """The entries of a rank table by their right argument: lines[c] lists
+    the (i, values) of the stored B(e_i, e_c)."""
+    lines: dict[int, list] = {}
+    for (i, c), values in table.items():
+        lines.setdefault(c, []).append((i, values))
+    return lines
 
 
 def _biderivation(bracket: Bracket, antisym: bool) -> CheckReport:
@@ -434,18 +435,13 @@ def _biderivation(bracket: Bracket, antisym: bool) -> CheckReport:
     ivs = bracket.poset.intervals()
     basis = bracket.poset.basis_products()
     table = _rank_table(bracket, basis.rank)
-    factors = _factors(basis)
-    by_right: dict[int, list[tuple[int, dict]]] = {}
-    by_left: dict[int, list[tuple[int, dict]]] = {}
-    for (i, c), values in table.items():
-        by_right.setdefault(c, []).append((i, values))
-        by_left.setdefault(i, []).append((c, values))
 
     reduce = bracket.ring.reduce
-    fail1 = set(_leibniz_failures(by_right, factors, basis, reduce))
+    fail1 = set(_leibniz_failures(_by_right(table), basis, reduce))
     # the second identity at (a, b, c) is the first at (b, c, a) for the
-    # transposed table B'(u, v) = B(v, u), whose B'(i, a) are by_left[a]
-    fail2 = {(a, b, c) for b, c, a in _leibniz_failures(by_left, factors, basis, reduce)}
+    # transposed table B'(u, v) = B(v, u)
+    transposed = _by_right({(c, i): values for (i, c), values in table.items()})
+    fail2 = {(a, b, c) for b, c, a in _leibniz_failures(transposed, basis, reduce)}
     for triple in sorted(fail1 | fail2):
         for check, failed in (("leibniz_1", fail1), ("leibniz_2", fail2)):
             if triple in failed:
@@ -467,7 +463,7 @@ def _biderivation(bracket: Bracket, antisym: bool) -> CheckReport:
     return report
 
 
-def _leibniz_failures(lines, factors, basis, reduce) -> list[tuple[int, int, int]]:
+def _leibniz_failures(lines, basis, reduce) -> list[tuple[int, int, int]]:
     """The rank triples (a, b, c) with B(ab, c) - B(a, c) e_b - e_a B(b, c)
     nonzero, given the stored B(i, c) as lines[c] = [(i, values), ...].
 
@@ -476,13 +472,13 @@ def _leibniz_failures(lines, factors, basis, reduce) -> list[tuple[int, int, int
     term e_k with e_k e_b nonzero; e_a B(i, c) at (a, i, c) for each term
     with e_a e_k nonzero.
     """
-    left, right = basis.left, basis.right
+    factors, left, right = basis.factors, basis.left, basis.right
     failed: list[tuple[int, int, int]] = []
     for c, line in lines.items():
         acc: dict[tuple[int, int, int], int] = {}  # (a, b, t): residual at e_t
         get = acc.get
         for i, values in line:
-            for a, b in factors.get(i, ()):
+            for a, b in factors[i]:
                 for k, v in values.items():
                     acc[a, b, k] = get((a, b, k), 0) + v
             for k, v in values.items():
@@ -509,9 +505,7 @@ def check_jacobi(bracket: Bracket) -> CheckReport:
     ivs = bracket.poset.intervals()
     table = _rank_table(bracket, bracket.poset.basis_products().rank)
     reduce = bracket.ring.reduce
-    by_right: dict[int, list[tuple[int, dict]]] = {}  # the stored B(x, k) by k
-    for (x, k), values in table.items():
-        by_right.setdefault(k, []).append((x, values))
+    by_right = _by_right(table)  # the stored B(x, k) by k
 
     sums: dict[tuple[int, int, int], dict] = {}  # by first rotation
     for (y, z), inner in table.items():
@@ -541,26 +535,12 @@ def _require_biderivation(bracket: Bracket):
     # minus the first at (b, c, a) (see poisset.solver), so both hold iff
     # the first does: one pass gives check_biderivation's verdict
     basis = bracket.poset.basis_products()
-    by_right: dict[int, list[tuple[int, dict]]] = {}
-    for (i, c), values in _rank_table(bracket, basis.rank).items():
-        by_right.setdefault(c, []).append((i, values))
-    if _leibniz_failures(by_right, _factors(basis), basis, bracket.ring.reduce):
+    lines = _by_right(_rank_table(bracket, basis.rank))
+    if _leibniz_failures(lines, basis, bracket.ring.reduce):
         raise NotABiderivation("bracket violates a Leibniz identity")
 
 
 # -- classification ----------------------------------------------------------
-
-
-def _commutators(poset: Poset) -> list[tuple[int, int, int, int]]:
-    """(a, b, t, sign) with [e_a, e_b] = sign e_t, on interval ranks, for
-    every ordered pair a != b with a nonzero commutator, in canonical order.
-    At most one of e_a e_b and e_b e_a survives (both would force a = b)."""
-    out = []
-    for (a, b), t in poset.basis_products().product.items():
-        if a != b:
-            out += ((a, b, t, 1), (b, a, t, -1))
-    out.sort()
-    return out
 
 
 def from_sigma(sigma: SigmaMap) -> Bracket:
@@ -573,13 +553,15 @@ def _from_sigma(sigma: SigmaMap, classes: PairPartition) -> Bracket:
     if not sigma._constant_on(classes):
         raise NotChainConstant("sigma takes two values on one chain component")
     P, R = sigma.poset, sigma.ring
-    ivs = P.intervals()
+    ivs, values = P.intervals(), sigma.values
     table: dict[tuple[Interval, Interval], dict] = {}
-    for a, b, t, sign in _commutators(P):
-        if a < b:
-            w = sigma.values[StrictPair(*ivs[t])].value
-            if w:
-                table[ivs[a], ivs[b]] = {ivs[t]: w if sign > 0 else R.reduce(-w)}
+    # [e_a, e_b] = e_t for each product e_a e_b = e_t, a != b, stored with
+    # a before b; the constructor adds the mirror
+    for (a, b), t in P.basis_products().product.items():
+        # an Interval finds its StrictPair key: equal, same hash
+        if a != b and (w := values[ivs[t]].value):
+            i, j, w = (a, b, w) if a < b else (b, a, R.reduce(-w))
+            table[ivs[i], ivs[j]] = {ivs[t]: w}
     return Bracket(P, R, table, antisymmetric_mode=True)
 
 
@@ -615,8 +597,14 @@ def extract_lambda(
         _require_biderivation(bracket)
     P, one = bracket.poset, bracket.ring.one
     ivs = P.intervals()
+    # (a, b, t, sign) with [e_a, e_b] = sign e_t, both orientations, sorted
+    # into canonical order; for a != b, e_a e_b = e_t forces e_b e_a = 0
+    commutators = []
+    for (a, b), t in P.basis_products().product.items():
+        if a != b:
+            commutators += (a, b, t, 1), (b, a, t, -1)
     out: dict[tuple[Interval, Interval], Scalar] = {}
-    for a, b, t, sign in _commutators(P):
+    for a, b, t, sign in sorted(commutators):
         # [e_i, e_j] = +-e_target, so the ratio needs no division
         i, j, target = ivs[a], ivs[b], ivs[t]
         value = bracket.value(i, j)

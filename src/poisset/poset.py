@@ -67,6 +67,7 @@ class BasisProducts(NamedTuple):
 
     e_xy e_yz = e_xz, and every other product of basis elements is zero.
     product[(a, b)] = t when e_a e_b = e_t, keyed in canonical order;
+    factors[t] lists the (a, b) with e_a e_b = e_t, in product's order;
     right[b] lists the (t, k) with e_k e_b = e_t and left[a] the (t, k)
     with e_a e_k = e_t, by ascending k; rank maps each interval to its
     rank.
@@ -74,6 +75,7 @@ class BasisProducts(NamedTuple):
     """
 
     product: dict[tuple[int, int], int]
+    factors: tuple[tuple[tuple[int, int], ...], ...]
     right: tuple[tuple[tuple[int, int], ...], ...]
     left: tuple[tuple[tuple[int, int], ...], ...]
     rank: dict[Interval, int]
@@ -262,17 +264,18 @@ class Poset:
             for r, (lo, _) in enumerate(intervals):
                 starting[lo].append(r)
             product: dict[tuple[int, int], int] = {}
+            factors: list[list] = [[] for _ in intervals]
             right: list[list] = [[] for _ in intervals]
             left: list[list] = [[] for _ in intervals]
             for a, (lo, mid) in enumerate(intervals):
                 for b in starting[mid]:
                     # a plain tuple finds its Interval key: equal, same hash
                     product[a, b] = t = rank[lo, intervals[b].hi]
+                    factors[t].append((a, b))
                     left[a].append((t, b))
                     right[b].append((t, a))
-            self._products = BasisProducts(
-                product, tuple(map(tuple, right)), tuple(map(tuple, left)), rank
-            )
+            indexes = (tuple(map(tuple, index)) for index in (factors, right, left))
+            self._products = BasisProducts(product, *indexes, rank)
         return self._products
 
     def is_interval(self, lo: str, hi: str) -> bool:

@@ -256,25 +256,24 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
 
     Intervals are handled by their rank.  The live columns are the
     B(e_u, e_v)(e_t) with e_t = e_u e_v or e_v e_u (rule 2), visited by
-    target t, then (u, v).  Such a column is the term B(ab, c) of the
-    triple (a, b, v) at t for each ab = u, B(a, c) e_b of (u, b, v) at t'
-    for each e_t e_b = e_t', and e_a B(b, c) of (a, u, v) at t' for each
-    e_a e_t = e_t'.  A row is built from its first live term, so once,
-    without its non-live terms, by _row, and goes to LinearSystem.take.
-    rows_streamed counts the nonzero rows built plus one unit row per
-    non-live column.
+    target t, then in product order, each (u, v) followed by (v, u); no
+    result depends on the order of the rows (module docstring, Solving).
+    Such a column is the term B(ab, c) of the triple (a, b, v) at t for
+    each ab = u, B(a, c) e_b of (u, b, v) at t' for each e_t e_b = e_t',
+    and e_a B(b, c) of (a, u, v) at t' for each e_a e_t = e_t'.  A row is
+    built from its first live term, so once, without its non-live terms,
+    by _row, and goes to LinearSystem.take.  rows_streamed counts the
+    nonzero rows built plus one unit row per non-live column.
     """
     system = LinearSystem(poset, field)
     intervals, column = system.intervals, system.column
-    product, right, left, _ = poset.basis_products()
-    factors: list[list[tuple[int, int]]] = [[] for _ in intervals]
+    product, factors, right, left, _ = poset.basis_products()
     # term[u, v, t] is the (column, sign) of B(e_u, e_v)(e_t) for e_t = e_u e_v
     # or e_v e_u, u != v (at most one is nonzero): the live terms; pairs[t]
     # lists those (u, v)
     term: dict[tuple[int, int, int], tuple[int, int]] = {}
     pairs: list[list[tuple[int, int]]] = [[] for _ in intervals]
     for (a, b), t in product.items():
-        factors[t].append((a, b))
         if a != b:
             term[a, b, t], term[b, a, t] = column(a, b, t), column(b, a, t)
             pairs[t] += (a, b), (b, a)
@@ -284,7 +283,7 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     system.live = {col for col, _ in term.values()}
     live, build, take, streamed = term.get, _row, system.take, 0
     for t, ts in enumerate(pairs):
-        for u, v in sorted(ts):
+        for u, v in ts:
             own = term[u, v, t]
             rows = [  # B(ab, c) of (a, b, v) at t
                 (own, live((a, v, below[b].get(t))), live((b, v, above[a].get(t))))

@@ -39,6 +39,16 @@ def fence3() -> Poset:
     return from_covers(["a", "b", "c"], [("a", "b"), ("c", "b")])
 
 
+def fence(n: int) -> Poset:
+    """f0 < f1 > f2 < f3 ...: every cover is its own chain component."""
+    labels = [f"f{i}" for i in range(n)]
+    covers = [
+        (labels[i], labels[i + 1]) if i % 2 == 0 else (labels[i + 1], labels[i])
+        for i in range(n - 1)
+    ]
+    return Poset(labels, covers)
+
+
 def boolean_lattice(n: int) -> Poset:
     """Subsets of {1..n} under inclusion; labels are digit strings, "0" empty."""
 

@@ -44,7 +44,7 @@ import time
 
 import pytest
 
-from conftest import CORPUS, boolean_lattice, random_sigma
+from conftest import CORPUS, boolean_lattice, fence, random_sigma
 from test_bracket import assert_lambda_relations, crown_table
 
 from poisset import (
@@ -342,22 +342,34 @@ def test_verifiers_on_zero_antichain3000():
 
 
 @pytest.mark.parametrize(
-    "build,ring,bound",
+    "build,ring,bound,dimension",
     [
-        (lambda: boolean_lattice(4), Q, 10.0),
-        (lambda: make_chain(12), integers_mod(7), 15.0),
-        (lambda: boolean_lattice(5), Q, 8.0),
-        (lambda: make_chain(20), integers_mod(7), 15.0),
-        (lambda: boolean_lattice(6), Q, 30.0),
-        (lambda: boolean_lattice(7), Q, 20.0),
-        (lambda: make_chain(40), integers_mod(7), 20.0),
+        (lambda: boolean_lattice(4), Q, 10.0, 1),
+        (lambda: make_chain(12), integers_mod(7), 15.0, 1),
+        (lambda: boolean_lattice(5), Q, 8.0, 1),
+        (lambda: make_chain(20), integers_mod(7), 15.0, 1),
+        (lambda: boolean_lattice(6), Q, 30.0, 1),
+        (lambda: boolean_lattice(7), Q, 20.0, 1),
+        (lambda: make_chain(40), integers_mod(7), 20.0, 1),
+        (lambda: fence(240), Q, 10.0, 239),
+        (lambda: fence(240), integers_mod(7), 10.0, 239),
     ],
-    ids=["bool4-Q", "chain12-Z7", "bool5-Q", "chain20-Z7", "bool6-Q", "bool7-Q", "chain40-Z7"],
+    ids=[
+        "bool4-Q",
+        "chain12-Z7",
+        "bool5-Q",
+        "chain20-Z7",
+        "bool6-Q",
+        "bool7-Q",
+        "chain40-Z7",
+        "fence240-Q",
+        "fence240-Z7",
+    ],
 )
-def test_classify_scale(build, ring, bound):
+def test_classify_scale(build, ring, bound, dimension):
     poset = build()
     started = time.perf_counter()
     report = classify(poset, ring)
     assert time.perf_counter() - started < bound
-    assert report.dimension == 1
+    assert report.dimension == dimension
     assert report.match

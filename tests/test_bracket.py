@@ -56,6 +56,7 @@ from poisset.errors import (
     NotABiderivation,
     NotAField,
     NotChainConstant,
+    NotProportional,
     PosetMismatch,
     RingMismatch,
 )
@@ -533,6 +534,19 @@ class TestExtractLambda:
     def test_lemma_relations_on_crown(self):
         lam = extract_lambda(from_sigma(crown_sigma(1, 2, 3, 4)))
         assert_lambda_relations(CROWN, lam)
+
+    def test_unchecked_raw_table_names_first_off_commutator_pair(self):
+        # two pairs with terms outside their commutator: the later one in
+        # canonical order is stored first, and its mirror (e_13, e_33) is a
+        # product found before (e_24, e_44)
+        entries = {(("3", "3"), ("1", "3")): el(CROWN, {("1", "3"): -1, ("1", "1"): 2})}
+        entries.update(crown_table(1, 2, 3, 4))
+        entries[("2", "4"), ("4", "4")] = el(CROWN, {("2", "4"): 4, ("1", "1"): 1})
+        bracket = Bracket.from_basis_table(CROWN, Q, entries, antisymmetric=False)
+        with pytest.raises(NotProportional) as raised:
+            extract_lambda(bracket, check=False)
+        i, j = Interval("2", "4"), Interval("4", "4")
+        assert str(raised.value) == f"B(e_{i}, e_{j}) has support outside [e_{i}, e_{j}]"
 
 
 def assert_lambda_relations(poset, lam):

@@ -435,6 +435,10 @@ def assert_basis_products_match_reference(p: Poset):
         for (i, j), t in reference_bracket._basis_products(ref).items()
     }
     assert list(table.product.items()) == list(product.items())
+    factors: list[list] = [[] for _ in intervals]
+    for ab, t in product.items():
+        factors[t].append(ab)
+    assert table.factors == tuple(map(tuple, factors))
     right, left = basis_moves(ref)
     assert table.right == tuple(map(tuple, right))
     assert table.left == tuple(map(tuple, left))
