@@ -125,27 +125,29 @@ class IncidenceElement:
         if not isinstance(other, IncidenceElement):
             return NotImplemented
         self._check_peer(other)
-        if not (self.coeffs and other.coeffs):
-            return self._wrap({})
-        # f(x, z) e_xz times the terms g(z, v) e_zv of g starting at z;
-        # x <= z <= v, so each product e_xz e_zv = e_xv is an interval
-        starting: dict[str, dict] = {z: {} for _, z in self.coeffs}
-        for (z, v), b in other.coeffs.items():
-            if z in starting:
-                starting[z][v] = b.value
-        axpy = self.ring.axpy
-        rows: dict[str, dict] = {}
-        for (x, z), a in self.coeffs.items():
-            terms = starting[z]
-            if terms:
-                axpy(rows.setdefault(x, {}), terms, a.value)
-        return self._wrap(
-            {Interval(x, v): c for x, row in rows.items() for v, c in row.items()}
-        )
+        (f, sf), (g, sg) = self._scaled(), other._scaled()
+        return self._unscaled(_convolve({}, f, g, 1), sf * sg)
 
     def commutator(self, other: "IncidenceElement") -> "IncidenceElement":
-        """[f, g] = f g - g f."""
-        return self * other - other * self
+        """[f, g] = f g - g f; both products carry the scale of f times
+        that of g, so they are subtracted as ints."""
+        if not isinstance(other, IncidenceElement):
+            raise TypeError(f"expected IncidenceElement, got {type(other).__name__}")
+        self._check_peer(other)
+        (f, sf), (g, sg) = self._scaled(), other._scaled()
+        return self._unscaled(_convolve(_convolve({}, f, g, 1), g, f, -1), sf * sg)
+
+    def _scaled(self) -> tuple[dict[Interval, int], int]:
+        """The coefficients as ints, each times the scale of them all
+        (RingSpec.scale), and that scale."""
+        values = self._values()
+        s = self.ring.scale((values,))
+        return {iv: v.numerator * (s // v.denominator) for iv, v in values.items()}, s
+
+    def _unscaled(self, rows: dict[str, dict], scale: int) -> "IncidenceElement":
+        """The element of int sums rows[x][v] at e_xv over scale."""
+        sums = {Interval(x, v): c for x, row in rows.items() for v, c in row.items()}
+        return self._wrap(self.ring.unscale(sums, scale))
 
     def sandwich(self, lo: str, hi: str) -> "IncidenceElement":
         """e_x f e_y, which is f(x, y) e_xy when x <= y and zero otherwise."""
@@ -259,6 +261,26 @@ class IncidenceElement:
                 raise InvalidPair(f"duplicate entry for ({lo!r}, {hi!r})")
             coeffs[iv] = parse_scalar(ring, entry["coeff"])
         return IncidenceElement(poset, ring, coeffs)
+
+
+def _convolve(rows: dict[str, dict], f: dict, g: dict, sign: int) -> dict[str, dict]:
+    """rows[x][v] += sign * f(x, z) g(z, v) over x <= z <= v, on int
+    coefficients keyed by Interval; returns rows.  Each f(x, z) e_xz meets
+    the terms g(z, v) e_zv of g starting at z, and e_xz e_zv = e_xv."""
+    starting: dict[str, list] = {}
+    for (z, v), b in g.items():
+        starting.setdefault(z, []).append((v, b))
+    for (x, z), a in f.items():
+        terms = starting.get(z)
+        if terms:
+            a *= sign
+            row = rows.get(x)
+            if row is None:
+                row = rows[x] = {}
+            get = row.get
+            for v, b in terms:
+                row[v] = get(v, 0) + a * b
+    return rows
 
 
 def center_basis(poset: Poset, ring: RingSpec) -> tuple[IncidenceElement, ...]:

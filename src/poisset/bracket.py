@@ -357,28 +357,33 @@ def check_antisymmetric(bracket: Bracket) -> CheckReport:
     """B(e_i, e_i) = 0 and B(e_i, e_j) + B(e_j, e_i) = 0 for all pairs.
 
     Only a pair with a stored entry in some orientation can fail, so only
-    those are examined; every other pair is counted as a pass.
+    those are examined, on the int rank table; every other pair is counted
+    as a pass.
     """
     report = CheckReport("antisymmetry")
     ivs = bracket.poset.intervals()
-    # ranks alone: the product table would cost O(products), this check O(stored)
-    rank = bracket.poset.interval_index
-    full = bracket._full
-    empty: dict = {}
-    diagonal = sorted(rank(i) for i, j in full if i == j)
-    pairs = sorted(
-        {tuple(sorted((rank(i), rank(j)))) for i, j in full if i != j}
-    )
-    for r in diagonal:
+    table = _rank_table(bracket)
+    reduce = bracket.ring.reduce
+    diagonal, pairs, empty = [], [], {}
+    for (i, j), values in table.items():
+        if i == j:
+            diagonal.append(i)
+        elif i < j or (j, i) not in table:
+            # the sum keeps a term at k unless both orientations hold k
+            mirror = table.get((j, i), empty)
+            if values.keys() != mirror.keys() or any(
+                reduce(v + mirror[k]) for k, v in values.items()
+            ):
+                pairs.append((i, j) if i < j else (j, i))
+    for r in sorted(diagonal):
         report.fail("antisymmetry", {"left": list(ivs[r]), "right": list(ivs[r])})
-    for ri, rj in pairs:
-        i, j = ivs[ri], ivs[rj]
-        residual = dict(full.get((i, j), empty))
-        bracket.ring.axpy(residual, full.get((j, i), empty), 1)
-        if residual:
-            report.fail("antisymmetry", {"left": list(i), "right": list(j)})
+    for ri, rj in sorted(pairs):
+        report.fail("antisymmetry", {"left": list(ivs[ri]), "right": list(ivs[rj])})
     n = len(ivs)
     _count_rest(report, "antisymmetry", n + n * (n - 1) // 2 - len(report.failures))
+    # the Leibniz pass of the same check_biderivation or _require_biderivation
+    # call reads this table instead of building its own
+    report._table = table
     return report
 
 
@@ -389,16 +394,17 @@ def _count_rest(report: CheckReport, check: str, passes: int):
         report.count_pass(check, passes)
 
 
-def _rank_table(bracket: Bracket, rank: dict) -> dict[tuple[int, int], dict]:
+def _rank_table(bracket: Bracket) -> dict[tuple[int, int], dict]:
     """Every nonzero B(e_i, e_c), both orientations, on interval ranks, with
-    all values scaled by one positive integer that makes them ints
-    (RingSpec.integer_scale): the Leibniz residuals are linear in the
-    values and the Jacobi sums bilinear, so either vanishes iff its scaled
-    form does."""
-    full = bracket._full
-    scale = bracket.ring.integer_scale(full.values())
+    all values times one positive integer that makes them ints
+    (RingSpec.scale): the antisymmetry and Leibniz residuals are linear in
+    the values and the Jacobi sums bilinear, so each vanishes iff its
+    scaled form does.  Ranks come from interval_index, not the product
+    table, so check_antisymmetric stays O(stored), not O(products)."""
+    full, rank = bracket._full, bracket.poset.interval_index
+    s = bracket.ring.scale(full.values())
     return {
-        (rank[i], rank[c]): {rank[k]: int(v * scale) for k, v in coeffs.items()}
+        (rank(i), rank(c)): {rank(k): v.numerator * (s // v.denominator) for k, v in coeffs.items()}
         for (i, c), coeffs in full.items()
     }
 
@@ -418,7 +424,8 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
     failing triples are reported in canonical order, pass counts are n^3
     minus the failures.
     """
-    return _biderivation(bracket, check_antisymmetric(bracket).ok)
+    antisymmetry = check_antisymmetric(bracket)
+    return _biderivation(bracket, antisymmetry.ok, antisymmetry._table)
 
 
 def _by_right(table: dict[tuple[int, int], dict]) -> dict[int, list]:
@@ -430,11 +437,10 @@ def _by_right(table: dict[tuple[int, int], dict]) -> dict[int, list]:
     return lines
 
 
-def _biderivation(bracket: Bracket, antisym: bool) -> CheckReport:
+def _biderivation(bracket: Bracket, antisym: bool, table: dict) -> CheckReport:
     report = CheckReport("biderivation")
     ivs = bracket.poset.intervals()
     basis = bracket.poset.basis_products()
-    table = _rank_table(bracket, basis.rank)
 
     reduce = bracket.ring.reduce
     fail1 = set(_leibniz_failures(_by_right(table), basis, reduce))
@@ -503,7 +509,7 @@ def check_jacobi(bracket: Bracket) -> CheckReport:
     """
     report = CheckReport("jacobi")
     ivs = bracket.poset.intervals()
-    table = _rank_table(bracket, bracket.poset.basis_products().rank)
+    table = _rank_table(bracket)
     reduce = bracket.ring.reduce
     by_right = _by_right(table)  # the stored B(x, k) by k
 
@@ -529,13 +535,14 @@ def check_jacobi(bracket: Bracket) -> CheckReport:
 
 
 def _require_biderivation(bracket: Bracket):
-    if not check_antisymmetric(bracket).ok:
+    antisymmetry = check_antisymmetric(bracket)
+    if not antisymmetry.ok:
         raise NotABiderivation("bracket is not antisymmetric")
     # for an antisymmetric table the second Leibniz identity at (a, b, c) is
     # minus the first at (b, c, a) (see poisset.solver), so both hold iff
     # the first does: one pass gives check_biderivation's verdict
     basis = bracket.poset.basis_products()
-    lines = _by_right(_rank_table(bracket, basis.rank))
+    lines = _by_right(antisymmetry._table)
     if _leibniz_failures(lines, basis, bracket.ring.reduce):
         raise NotABiderivation("bracket violates a Leibniz identity")
 
@@ -553,15 +560,22 @@ def _from_sigma(sigma: SigmaMap, classes: PairPartition) -> Bracket:
     if not sigma._constant_on(classes):
         raise NotChainConstant("sigma takes two values on one chain component")
     P, R = sigma.poset, sigma.ring
-    ivs, values = P.intervals(), sigma.values
+    ivs, basis = P.intervals(), P.basis_products()
+    factors, rank = basis.factors, basis.rank
     table: dict[tuple[Interval, Interval], dict] = {}
-    # [e_a, e_b] = e_t for each product e_a e_b = e_t, a != b, stored with
-    # a before b; the constructor adds the mirror
-    for (a, b), t in P.basis_products().product.items():
-        # an Interval finds its StrictPair key: equal, same hash
-        if a != b and (w := values[ivs[t]].value):
-            i, j, w = (a, b, w) if a < b else (b, a, R.reduce(-w))
-            table[ivs[i], ivs[j]] = {ivs[t]: w}
+    # [e_a, e_b] = e_t for each product e_a e_b = e_t of a strict target t
+    # with sigma(t) nonzero (a != b there), stored with a before b; the
+    # constructor adds the mirror
+    for pair, scalar in sigma.values.items():
+        if w := scalar.value:
+            # a StrictPair finds its Interval key: equal, same hash
+            t = rank[pair]
+            target, minus = ivs[t], R.reduce(-w)
+            for a, b in factors[t]:
+                if a < b:
+                    table[ivs[a], ivs[b]] = {target: w}
+                else:
+                    table[ivs[b], ivs[a]] = {target: minus}
     return Bracket(P, R, table, antisymmetric_mode=True)
 
 

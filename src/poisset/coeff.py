@@ -4,8 +4,21 @@ Every scalar is stored in a canonical form (reduced fraction with positive
 denominator, plain integer, or residue in [0, m)), so structural equality
 coincides with equality in the ring.  All arithmetic is arbitrary precision.
 This module is the one arithmetic kernel: every other module computes with
-RingSpec's raw-value operations (reduce, inv, the sparse axpy), and
-Echelon is the one Gaussian elimination.
+RingSpec's raw-value operations (reduce, inv, the sparse axpy, scale and
+unscale), and Echelon is the one Gaussian elimination.
+
+Hot loops run on scaled ints, not Fractions.  RingSpec.scale gives the
+lcm s of the denominators of a set of raw values (1 over Z and Z/m), and
+s * v = v.numerator * (s // v.denominator) is an int.  A loop that sums
+products of values of f, scaled by s_f, and of g, scaled by s_g, sums
+plain ints scaled by s_f * s_g, and RingSpec.unscale builds one canonical
+raw value per nonzero output entry: a Fraction over Q, a residue over Z/m,
+so Z/m reduces once, at the end.  A check that only asks whether a sum
+linear or bilinear in the values vanishes needs no unscale: it vanishes
+iff the scaled sum does, after reduce.  IncidenceElement's product and
+commutator (poisset.algebra) convolve this way, the commutator with both
+products on one scale, and the rank table that check_antisymmetric, the
+Leibniz checks and check_jacobi read (poisset.bracket) holds scaled ints.
 """
 
 from __future__ import annotations
@@ -159,14 +172,28 @@ class RingSpec:
             else:
                 acc.pop(k, None)
 
-    def integer_scale(self, rows: Iterable[Mapping]) -> int:
-        """A positive integer that turns every raw value of rows into an
-        int when multiplied in: the lcm of the denominators over Q, 1 over
-        Z and Z/m.  A sum linear or bilinear in the values vanishes iff the
-        same sum of scaled values does (after reduce, over Z/m)."""
+    def scale(self, rows: Iterable[Mapping]) -> int:
+        """The least positive integer s that turns every raw value v of rows
+        into an int when multiplied in: the lcm of the denominators over Q,
+        1 over Z and Z/m.  The int is v.numerator * (s // v.denominator),
+        with no Fraction product.  A sum linear or bilinear in the values
+        vanishes iff the same sum of scaled values does (after reduce, over
+        Z/m); unscale turns such a sum back into a raw value."""
         if self.kind != "Q":
             return 1
         return lcm(*(v.denominator for row in rows for v in row.values()))
+
+    def unscale(self, sums: Mapping, scale: int) -> dict:
+        """The canonical raw values sums[k] / scale of int sums, built once
+        per entry, the zeros dropped: Fractions over Q, residues over Z/m."""
+        if self.kind == "Q":
+            if scale == 1:
+                return {k: Fraction(v) for k, v in sums.items() if v}
+            return {k: Fraction(v, scale) for k, v in sums.items() if v}
+        m = self.modulus
+        if m is None:
+            return {k: v for k, v in sums.items() if v}
+        return {k: r for k, v in sums.items() if (r := v % m)}
 
     # -- scalar construction -------------------------------------------------
 

@@ -136,6 +136,7 @@ class LinearSystem:
         self.size: dict[int, int] = {}  # of the classes of more than one column, at roots
         self.dead: set[int] = set()
         self.merged = 0
+        self._classes: tuple | None = None  # (state, classes), see classes()
         # over Z/2, x = -x holds for every x: no cycle kills a class
         self.signed = ring.modulus != 2
 
@@ -217,24 +218,38 @@ class LinearSystem:
 
     def classes(self) -> dict[int, list[tuple[int, int]]]:
         """Each class by its root: its (column, s) with x_column = s x_root,
-        columns ascending."""
-        found: dict[int, list[tuple[int, int]]] = {}
-        find = self.find
-        for c in sorted(self.live):
-            root, s = find(c)
-            found.setdefault(root, []).append((c, s))
-        return found
+        columns ascending.  Built once per state of the forest and shared,
+        by nullspace and every satisfied_by after it, so callers must not
+        mutate it.  The state is the live set, the number of parent edges
+        and merged: a union adds an edge, a newly dead class adds to
+        merged, and path compression changes no class."""
+        state = (self.live, len(self.up), self.merged)
+        if self._classes is None or self._classes[0] != state:
+            found: dict[int, list[tuple[int, int]]] = {}
+            find = self.find
+            for c in sorted(self.live):
+                root, s = find(c)
+                found.setdefault(root, []).append((c, s))
+            self._classes = state, found
+        return self._classes[1]
 
     def satisfied_by(self, vector: dict[int, object]) -> bool:
         """True iff the vector is zero off the live columns and on the dead
-        classes, and x_c = s x_root on every column c of a live class."""
+        classes, and x_c = s x_root on every column c of a live class.
+        A class that the vector's nonzero columns do not meet is zero on
+        each of its columns, which satisfies it, so only the classes they
+        meet are visited, through classes()."""
         red, live, dead, find = self.ring.reduce, self.live, self.dead, self.find
-        if any(red(v) for col, v in vector.items() if col not in live):
-            return False
-        for c in live:
-            root, s = find(c)
-            v = vector.get(c, 0)
-            if red(v) if root in dead else red(v - s * vector.get(root, 0)):
+        classes = self.classes()
+        roots = set()
+        for col, v in vector.items():
+            if red(v):
+                if col not in live:
+                    return False
+                roots.add(find(col)[0])
+        for root in roots:
+            x = 0 if root in dead else vector.get(root, 0)
+            if any(red(vector.get(c, 0) - s * x) for c, s in classes[root]):
                 return False
         return True
 

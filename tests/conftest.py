@@ -6,6 +6,7 @@ total orders (everything standard), antichains (zero bracket), the
 chains, and a disconnected mix.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -144,6 +145,20 @@ def antisymmetric_tables(draw, rings):
             coeffs = {ivs[k]: ring.scalar(c) for k, c in terms}
             table[ivs[i], ivs[j]] = IncidenceElement(poset, ring, coeffs)
     return Bracket.from_basis_table(poset, ring, table)
+
+
+@st.composite
+def ring_elements(draw, poset: Poset, ring):
+    """An element with a numerator in -4..4 at each interval, a third of
+    them zero; over Q each over a denominator 1, 2, 3, 4 or 6, so that the
+    lcm of an element's denominators, its scale, is often above 1."""
+    denominators = st.sampled_from((1, 2, 3, 4, 6)) if ring.kind == "Q" else st.just(1)
+    coeffs = {}
+    for iv in poset.intervals():
+        n = draw(st.sampled_from((0, 0, 0, -4, -3, -2, -1, 1, 2, 3, 4)))
+        if n:
+            coeffs[iv] = ring.scalar(Fraction(n, draw(denominators)))
+    return IncidenceElement(poset, ring, coeffs)
 
 
 def random_sigma(poset: Poset, ring, rng) -> SigmaMap:

@@ -13,7 +13,9 @@ runs both exhaustive checks, and `extract_sigma` reads sigma through
 copied here so that the reference shares no enumeration code with the
 module it checks; `_basis_products`, the n^2 scan over all interval
 pairs, is also the reference that `tests/test_poset.py` checks
-`Poset.basis_products` against.
+`Poset.basis_products` against.  `from_sigma` walks the whole product
+table, where poisset's walks only the factorisations of sigma's nonzero
+targets.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from __future__ import annotations
 import random
 
 from poisset import (
+    Bracket,
     CheckReport,
     IncidenceElement,
     Interval,
     SigmaMap,
     random_element,
 )
-from poisset.errors import NotABiderivation
+from poisset.errors import NotABiderivation, NotChainConstant
 
 
 def _basis_products(poset):
@@ -50,6 +53,23 @@ def _mul_left(a: Interval, coeffs: dict) -> dict:
     """e_a * coeffs at the coefficient level."""
     x, u = a
     return {Interval(x, y): c for (z, y), c in coeffs.items() if z == u}
+
+
+def from_sigma(sigma: SigmaMap) -> Bracket:
+    """The bracket [e_a, e_b] = sigma(t) e_t for each product e_a e_b = e_t,
+    a != b, found by a scan of every product."""
+    if not sigma.is_chain_constant():
+        raise NotChainConstant("sigma takes two values on one chain component")
+    P, R = sigma.poset, sigma.ring
+    rank = P.interval_index
+    table = {}
+    for (i, j), t in _basis_products(P).items():
+        if i != j and (w := sigma.values[t].value):
+            if rank(i) < rank(j):
+                table[i, j] = {t: w}
+            else:
+                table[j, i] = {t: R.reduce(-w)}
+    return Bracket(P, R, table, antisymmetric_mode=True)
 
 
 def check_antisymmetric(bracket) -> CheckReport:

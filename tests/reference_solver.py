@@ -12,7 +12,8 @@ keeps every column live.  The tests check that build_system returns the
 same zero columns, rank, free columns and basis vectors as both, and, through
 idempotent_rows, that each column it drops is zero by the rows the
 solver's module docstring names: a single-entry row of rule 1, or a chain
-of transport rows ending at a single-entry row.
+of transport rows ending at a single-entry row.  satisfied_by is the
+full scan of every live column that LinearSystem.satisfied_by replaced.
 """
 
 from fractions import Fraction
@@ -289,3 +290,18 @@ def bracket_to_vector(system, bracket: Bracket) -> dict[int, object]:
         for k, c in bracket.value(i, j).coeffs.items():
             vector[system.column(rank[i], rank[j], rank[k])[0]] = c.value
     return vector
+
+
+def satisfied_by(system: LinearSystem, vector: dict[int, object]) -> bool:
+    """LinearSystem.satisfied_by by a scan of every live column: the vector
+    is zero off the live columns and on the dead classes, and x_c = s x_root
+    on every column c of a live class."""
+    red, live, dead, find = system.ring.reduce, system.live, system.dead, system.find
+    if any(red(v) for col, v in vector.items() if col not in live):
+        return False
+    for c in live:
+        root, s = find(c)
+        v = vector.get(c, 0)
+        if red(v) if root in dead else red(v - s * vector.get(root, 0)):
+            return False
+    return True

@@ -5,17 +5,22 @@ the diamond before being frozen here.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corpus_params, crown_plus_chain3, diamond, posets
+import reference_algebra
+import reference_bracket
+from conftest import corpus_params, crown_plus_chain3, diamond, posets, ring_elements
 from poisset import (
     INTEGERS,
     RATIONALS,
+    Bracket,
     IncidenceElement,
     Interval,
     center_basis,
+    check_antisymmetric,
     integers_mod,
     linear_combination,
     make_chain,
@@ -158,6 +163,95 @@ class TestConvolution:
     def test_commutator_antisymmetry(self, f, g):
         assert f.commutator(g) == -(g.commutator(f))
         assert f.commutator(f).is_zero()
+
+
+SCALED_RINGS = [RATIONALS, INTEGERS, integers_mod(4), integers_mod(7)]
+SCALED_IDS = ["Q", "Z", "Z4", "Z7"]
+
+
+def raw(el):
+    """The raw values with their types: equal Fractions and ints compare
+    equal, so the types are compared too."""
+    return {iv: (type(c.value), c.value) for iv, c in el.coeffs.items()}
+
+
+def assert_canonical(el):
+    # no stored zero, and every value in the ring's canonical form
+    ring = el.ring
+    for c in el.coeffs.values():
+        assert c.value != 0
+        assert ring.reduce(c.value) == c.value
+        assert type(c.value) is (Fraction if ring.kind == "Q" else int)
+
+
+class TestScaledConvolution:
+    """Products and commutators convolve the operands' scaled int
+    coefficients and build one raw value per entry; the reference adds
+    every term with axpy.  Over Q the coefficients have denominators 2, 3,
+    4 and 6, so the scale is not 1."""
+
+    @pytest.mark.parametrize("ring", SCALED_RINGS, ids=SCALED_IDS)
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_products_and_commutators_match_reference(self, ring, data):
+        poset = data.draw(posets(max_size=5))
+        f, g = data.draw(ring_elements(poset, ring)), data.draw(ring_elements(poset, ring))
+        for got, want in (
+            (f * g, reference_algebra.mul(f, g)),
+            (g * f, reference_algebra.mul(g, f)),
+            (f.commutator(g), reference_algebra.commutator(f, g)),
+            (f.commutator(f), reference_algebra.commutator(f, f)),
+        ):
+            assert got == want
+            assert raw(got) == raw(want)
+            assert_canonical(got)
+
+    def test_scale_is_cleared_once_per_entry(self):
+        # (1/2 e12 + 1/3 e13)(3/4 e23 + 1/6 e33): denominators 2 and 3 on
+        # the left, 4 and 6 on the right, scale 6 * 12
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        f = el(CHAIN3, {("1", "2"): half, ("1", "3"): third})
+        g = el(CHAIN3, {("2", "3"): Fraction(3, 4), ("3", "3"): Fraction(1, 6)})
+        assert f * g == el(CHAIN3, {("1", "3"): Fraction(3, 8) + Fraction(1, 18)})
+        assert f.commutator(g) == f * g
+        assert (g * f).is_zero()
+        # a third of the identity is central: every entry cancels
+        central = el(CHAIN3, {("1", "1"): third, ("2", "2"): third, ("3", "3"): third})
+        assert central.commutator(f).coeffs == {} and (central * f).coeffs == {
+            Interval("1", "2"): RATIONALS.scalar(Fraction(1, 6)),
+            Interval("1", "3"): RATIONALS.scalar(Fraction(1, 9)),
+        }
+
+    @pytest.mark.parametrize("ring", SCALED_RINGS, ids=SCALED_IDS)
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_antisymmetry_reports_match_reference(self, ring, data):
+        # raw tables of such elements, each mirror the exact negative,
+        # which passes, the negated numerators over other denominators,
+        # which fails unless the scale is cleared, or a drawn element
+        poset = data.draw(posets(max_size=4))
+        ivs = poset.intervals()
+        index = st.integers(0, len(ivs) - 1)
+        table = {}
+        for i, j, mirror in data.draw(st.lists(st.tuples(index, index, st.integers(0, 2)), max_size=6)):
+            value = data.draw(ring_elements(poset, ring))
+            table[ivs[i], ivs[j]] = value
+            if i != j:
+                if mirror == 0:
+                    other = -value
+                elif mirror == 1:
+                    dens = st.sampled_from((1, 2, 3)) if ring == RATIONALS else st.just(1)
+                    other = IncidenceElement(poset, ring, {
+                        iv: ring.scalar(Fraction(-c.value.numerator, data.draw(dens)))
+                        for iv, c in value.coeffs.items()
+                    })
+                else:
+                    other = data.draw(ring_elements(poset, ring))
+                table[ivs[j], ivs[i]] = other
+        bracket = Bracket.from_basis_table(poset, ring, table, antisymmetric=False)
+        got, want = check_antisymmetric(bracket), reference_bracket.check_antisymmetric(bracket)
+        assert got.to_json() == want.to_json()
+        assert got.pass_counts == want.pass_counts
 
 
 class TestModuleStructure:

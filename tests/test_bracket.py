@@ -6,6 +6,7 @@ oracles were derived by hand from the defining formula
 B(f, g)(x, y) = sigma(x, y) [f, g](x, y).
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from poisset import (
     IncidenceElement,
     Interval,
     PiecewiseWitness,
+    Poset,
     SigmaMap,
     StrictPair,
     check_antisymmetric,
@@ -433,6 +435,26 @@ class TestFromSigma:
                     assert out.coeff(x, y) == sigma.value(x, y) * com.coeff(x, y)
                 for x in poset.elements:
                     assert out.coeff(x, x).is_zero()
+
+    @settings(deadline=None, max_examples=80)
+    @given(poset=posets(max_size=6), seed=st.integers(0, 999))
+    def test_target_walk_matches_product_walk(self, poset, seed):
+        # a random sigma, zeros on some components, and each indicator:
+        # the same table, JSON, stored pairs and key as the product scan;
+        # with the labels reversed, factors e_a e_b of a target come with a
+        # after b too, and their commutator is stored negated
+        rng = random.Random(seed)
+        data = poset.to_json()
+        reversed_labels = Poset(data["elements"][::-1], [tuple(c) for c in data["covers"]])
+        for ring, poset in itertools.product(RINGS, (poset, reversed_labels)):
+            sigmas = [random_sigma(poset, ring, rng)]
+            sigmas += [SigmaMap(poset, ring, dict.fromkeys(cls, 1)) for cls in poset.chain_components()]
+            for sigma in sigmas:
+                got, want = from_sigma(sigma), reference_bracket.from_sigma(sigma)
+                assert got._full == want._full
+                assert got.to_json() == want.to_json()
+                assert got.stored_pairs() == want.stored_pairs()
+                assert got._key() == want._key()
 
     @pytest.mark.parametrize("poset", corpus_params())
     def test_extract_sigma_roundtrip(self, poset):

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CORPUS,
@@ -51,6 +51,7 @@ from poisset import (
 from poisset import solver
 from poisset.errors import BijectionViolation, NotABiderivation, NotAField, RingMismatch
 from poisset.solver import SolutionBasis, _bracket_to_vector, _row
+import reference_solver
 from reference_solver import (
     bracket_to_vector,
     full_stream_build_system,
@@ -472,6 +473,56 @@ class TestSignedUnionFind:
         monkeypatch.setattr(solver, "_row", lambda first, second, third: row)
         with pytest.raises(ValueError, match="is not x_p = "):
             build_system(make_chain(2), ring)
+
+
+class TestSatisfiedBy:
+    """satisfied_by visits only the classes that the vector's nonzero
+    columns meet, through the classes() that nullspace also reads; the
+    reference scans every live column."""
+
+    @staticmethod
+    def values(ring):
+        if ring.kind == "Q":
+            return st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+        # residues past [0, m) too: a raw caller's vector need not be canonical
+        return st.integers(-ring.modulus, 2 * ring.modulus)
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_same_verdict_as_the_full_scan(self, data):
+        poset = data.draw(posets(max_size=4))
+        ring = data.draw(st.sampled_from([Q, integers_mod(2), integers_mod(3), integers_mod(7)]))
+        system = build_system(poset, ring)
+        assert system.satisfied_by({})
+        live = sorted(system.live)
+        if live:
+            # kills and joins after classes() was built: dead classes, odd
+            # cycles and merged classes, each of which must rebuild it
+            column, sign = st.sampled_from(live), st.sampled_from((1, -1))
+            for op, p, q, s in data.draw(st.lists(st.tuples(st.booleans(), column, column, sign), min_size=1, max_size=4)):
+                if op:
+                    system.kill(p)
+                elif p != q:
+                    system.join(p, q, s)
+        # a vector on the classes, held at zero on the dead ones: a solution
+        vector, red = {}, ring.reduce
+        for root, members in system.classes().items():
+            x = 0 if root in system.dead else data.draw(self.values(ring))
+            vector.update((c, red(s * x)) for c, s in members)
+        assert system.satisfied_by(vector)
+        assert reference_solver.satisfied_by(system, vector)
+        for root, members in system.classes().items():
+            # x_c = s x_root on a dead class is still not zero, and a value
+            # at the root alone leaves the other columns of its class at 0
+            x = data.draw(self.values(ring))
+            for part in ({c: red(s * x) for c, s in members}, {root: x}):
+                assert system.satisfied_by(part) == reference_solver.satisfied_by(system, part)
+        # then entries anywhere: off the live columns, on dead classes, zeros
+        columns = st.integers(0, max(system.num_unknowns - 1, 0))
+        for col, value in data.draw(st.lists(st.tuples(columns, self.values(ring)), max_size=3)):
+            vector[col] = value
+            assert system.satisfied_by(vector) == reference_solver.satisfied_by(system, vector)
+            assert system.satisfied_by({col: value}) == reference_solver.satisfied_by(system, {col: value})
 
 
 class TestDimensions:
