@@ -80,43 +80,54 @@ class CheckReport:
 
 
 class SigmaMap:
-    """A total map from strict pairs of the poset to scalars."""
+    """A map from strict pairs of the poset to scalars, stored by its
+    support: values holds the nonzero values in canonical pair order, and
+    every other strict pair reads zero."""
 
     __slots__ = ("poset", "ring", "values")
 
     def __init__(self, poset: Poset, ring: RingSpec, values: Mapping):
         self.poset = poset
         self.ring = ring
-        total: dict[StrictPair, Scalar] = dict.fromkeys(poset.strict_pairs(), ring.zero)
+        found: dict[StrictPair, Scalar] = {}
         for key, scalar in values.items():
             lo, hi = key
             pair = StrictPair(lo, hi)
-            if pair not in total:
+            if lo == hi or not poset.is_interval(lo, hi):
                 raise InvalidPair(f"({lo!r}, {hi!r}) is not a strict pair")
             if not isinstance(scalar, Scalar):
                 scalar = ring.scalar(scalar)
             elif scalar.ring != ring:
                 raise RingMismatch(f"value at {pair} lives in {scalar.ring}")
-            total[pair] = scalar
-        self.values = total
+            if scalar:
+                found[pair] = scalar
+        # a StrictPair finds its Interval key: equal, same hash
+        self.values = {pair: found[pair] for pair in sorted(found, key=poset.interval_index)}
 
     def value(self, lo: str, hi: str) -> Scalar:
         pair = StrictPair(lo, hi)
-        if pair not in self.values:
+        value = self.values.get(pair)
+        if value is not None:
+            return value
+        if lo == hi or not self.poset.is_interval(lo, hi):
             raise InvalidPair(f"({lo!r}, {hi!r}) is not a strict pair")
-        return self.values[pair]
+        return self.ring.zero
 
     def is_chain_constant(self) -> bool:
         """True iff the map takes one value on each chain component."""
         return self._constant_on(self.poset.chain_components())
 
     def _constant_on(self, classes: PairPartition) -> bool:
-        """True iff the map takes one value on each of the classes."""
-        values = self.values
-        for cls in classes:
-            first = values[cls[0]]
-            if any(values[pair] != first for pair in cls[1:]):
-                return False
+        """True iff the map takes one value on each of the classes: a class
+        that the support meets lies wholly in it, with one value, and every
+        other class reads zero."""
+        values, seen = self.values, set()
+        for pair, first in values.items():
+            k = classes.class_index(pair)
+            if k not in seen:
+                seen.add(k)
+                if any(values.get(other) != first for other in classes.classes[k]):
+                    return False
         return True
 
     def __eq__(self, other):
@@ -131,24 +142,18 @@ class SigmaMap:
     def __hash__(self):
         return hash((self.poset, self.ring, frozenset(self.values.items())))
 
+    def _total(self) -> list[tuple[StrictPair, str]]:
+        """Every strict pair in canonical order, with its formatted value."""
+        values, zero = self.values, self.ring.zero
+        return [(pair, format_scalar(values.get(pair, zero))) for pair in self.poset.strict_pairs()]
+
     def __repr__(self):
-        items = ", ".join(
-            f"({lo},{hi})={format_scalar(v)}"
-            for (lo, hi), v in sorted(
-                self.values.items(), key=lambda kv: self.poset.interval_index(
-                    Interval(*kv[0])
-                )
-            )
-        )
+        items = ", ".join(f"({lo},{hi})={text}" for (lo, hi), text in self._total())
         return f"SigmaMap({items})"
 
     def to_json(self) -> dict:
-        pairs = self.poset.strict_pairs()
         return {
-            "entries": [
-                {"lo": lo, "hi": hi, "value": format_scalar(self.values[StrictPair(lo, hi)])}
-                for lo, hi in pairs
-            ]
+            "entries": [{"lo": lo, "hi": hi, "value": text} for (lo, hi), text in self._total()]
         }
 
     @staticmethod
@@ -564,37 +569,35 @@ def _from_sigma(sigma: SigmaMap, classes: PairPartition) -> Bracket:
     factors, rank = basis.factors, basis.rank
     table: dict[tuple[Interval, Interval], dict] = {}
     # [e_a, e_b] = e_t for each product e_a e_b = e_t of a strict target t
-    # with sigma(t) nonzero (a != b there), stored with a before b; the
+    # in sigma's support (a != b there), stored with a before b; the
     # constructor adds the mirror
     for pair, scalar in sigma.values.items():
-        if w := scalar.value:
-            # a StrictPair finds its Interval key: equal, same hash
-            t = rank[pair]
-            target, minus = ivs[t], R.reduce(-w)
-            for a, b in factors[t]:
-                if a < b:
-                    table[ivs[a], ivs[b]] = {target: w}
-                else:
-                    table[ivs[b], ivs[a]] = {target: minus}
+        # a StrictPair finds its Interval key: equal, same hash
+        t, w = rank[pair], scalar.value
+        target, minus = ivs[t], R.reduce(-w)
+        for a, b in factors[t]:
+            if a < b:
+                table[ivs[a], ivs[b]] = {target: w}
+            else:
+                table[ivs[b], ivs[a]] = {target: minus}
     return Bracket(P, R, table, antisymmetric_mode=True)
 
 
 def extract_sigma(bracket: Bracket, check: bool = True) -> SigmaMap:
     """Recover sigma via sigma(x, y) = B(e_x, e_xy)(x, y).
 
-    With check=True (the default) the bracket is first verified to be an
-    antisymmetric biderivation; NotABiderivation is raised otherwise.
+    sigma is read from the stored entries B(e_x, e_xy) alone; a strict pair
+    with none reads zero.  With check=True (the default) the bracket is
+    first verified to be an antisymmetric biderivation; NotABiderivation is
+    raised otherwise.
     """
     if check:
         _require_biderivation(bracket)
     P, R = bracket.poset, bracket.ring
-    full, empty = bracket._full, {}
     values = {}
-    for pair in P.strict_pairs():
-        lo, hi = pair
-        value = full.get((Interval(lo, lo), Interval(lo, hi)), empty).get(Interval(lo, hi))
-        if value is not None:
-            values[pair] = Scalar(R, value)
+    for ((x, x2), (lo, hi)), coeffs in bracket._full.items():
+        if x == x2 == lo != hi and (value := coeffs.get((lo, hi))) is not None:
+            values[lo, hi] = Scalar(R, value)
     return SigmaMap(P, R, values)
 
 
@@ -640,17 +643,27 @@ def is_standard(bracket: Bracket, check: bool = True) -> IncidenceElement | None
     P, R = bracket.poset, bracket.ring
     components = P.connected_components()
     component_of = {x: k for k, component in enumerate(components) for x in component}
-    # sigma's value on the first strict pair of each component, in one pass
+    # sigma's one nonzero value on each component its support meets, and
+    # how many strict pairs of the component carry it
     constants: list[Scalar | None] = [None] * len(components)
+    support = [0] * len(components)
     for pair, value in sigma.values.items():
         k = component_of[pair.lo]
         if constants[k] is None:
             constants[k] = value
         elif value != constants[k]:
             return None
+        support[k] += 1
+    # a component that the support meets must lie in it wholly
+    strict = [0] * len(components)
+    for lo, hi in P.intervals():
+        if lo != hi:
+            strict[component_of[lo]] += 1
+    if any(n and n != m for n, m in zip(support, strict)):
+        return None
     coeffs: dict[Interval, Scalar] = {}
     for component, constant in zip(components, constants):
-        if constant is not None and not constant.is_zero():
+        if constant is not None:
             for x in component:
                 coeffs[Interval(x, x)] = constant
     return IncidenceElement(P, R, coeffs)

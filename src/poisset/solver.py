@@ -104,7 +104,6 @@ from .errors import (
     NotABiderivation,
     NotAField,
     NotChainConstant,
-    RingMismatch,
 )
 from .poset import Interval, Poset
 
@@ -136,7 +135,6 @@ class LinearSystem:
         self.size: dict[int, int] = {}  # of the classes of more than one column, at roots
         self.dead: set[int] = set()
         self.merged = 0
-        self._classes: tuple | None = None  # (state, classes), see classes()
         # over Z/2, x = -x holds for every x: no cycle kills a class
         self.signed = ring.modulus != 2
 
@@ -218,38 +216,23 @@ class LinearSystem:
 
     def classes(self) -> dict[int, list[tuple[int, int]]]:
         """Each class by its root: its (column, s) with x_column = s x_root,
-        columns ascending.  Built once per state of the forest and shared,
-        by nullspace and every satisfied_by after it, so callers must not
-        mutate it.  The state is the live set, the number of parent edges
-        and merged: a union adds an edge, a newly dead class adds to
-        merged, and path compression changes no class."""
-        state = (self.live, len(self.up), self.merged)
-        if self._classes is None or self._classes[0] != state:
-            found: dict[int, list[tuple[int, int]]] = {}
-            find = self.find
-            for c in sorted(self.live):
-                root, s = find(c)
-                found.setdefault(root, []).append((c, s))
-            self._classes = state, found
-        return self._classes[1]
+        columns ascending."""
+        found: dict[int, list[tuple[int, int]]] = {}
+        find = self.find
+        for c in sorted(self.live):
+            root, s = find(c)
+            found.setdefault(root, []).append((c, s))
+        return found
 
     def satisfied_by(self, vector: dict[int, object]) -> bool:
         """True iff the vector is zero off the live columns and on the dead
-        classes, and x_c = s x_root on every column c of a live class.
-        A class that the vector's nonzero columns do not meet is zero on
-        each of its columns, which satisfies it, so only the classes they
-        meet are visited, through classes()."""
-        red, live, dead, find = self.ring.reduce, self.live, self.dead, self.find
-        classes = self.classes()
-        roots = set()
-        for col, v in vector.items():
-            if red(v):
-                if col not in live:
-                    return False
-                roots.add(find(col)[0])
-        for root in roots:
+        classes, and x_c = s x_root on every column c of a live class."""
+        red, live, dead = self.ring.reduce, self.live, self.dead
+        if any(red(v) for col, v in vector.items() if col not in live):
+            return False
+        for root, members in self.classes().items():
             x = 0 if root in dead else vector.get(root, 0)
-            if any(red(vector.get(c, 0) - s * x) for c, s in classes[root]):
+            if any(red(vector.get(c, 0) - s * x) for c, s in members):
                 return False
         return True
 
@@ -348,20 +331,6 @@ def _vector_to_bracket(system: LinearSystem, vector: dict[int, object]) -> Brack
     return Bracket(system.poset, system.ring, table, antisymmetric_mode=True)
 
 
-def _bracket_to_vector(system: LinearSystem, bracket: Bracket) -> dict[int, object]:
-    """The solution vector of an antisymmetric bracket: its raw values
-    B(e_i, e_j)(e_k) with i before j, the columns' orientation."""
-    if bracket.ring != system.ring:
-        raise RingMismatch("bracket ring differs from the system's field")
-    rank, column, vector = system.interval_rank, system.column, {}
-    for (i, j), coeffs in bracket._full.items():
-        ri, rj = rank[i], rank[j]
-        if ri < rj:
-            for k, value in coeffs.items():
-                vector[column(ri, rj, rank[k])[0]] = value
-    return vector
-
-
 def nullspace(system: LinearSystem) -> SolutionBasis:
     """Basis of the solution space, free columns in ascending order.
 
@@ -415,15 +384,29 @@ class ClassificationReport:
 def classify(poset: Poset, field: RingSpec) -> ClassificationReport:
     """Solve for all antisymmetric biderivations and confirm the bijection.
 
+    Each basis vector v passes three checks: extract_sigma's Leibniz gate,
+    so v is an antisymmetric biderivation, a point of the solver space; its
+    sigma is chain-constant and reproduces v; and sigma's support meets
+    exactly one chain component C, which no other vector's support meets.
+    With dimension = number of chain components they prove the bijection.
+    A chain-constant sigma whose support meets C alone is c 1_C, where c is
+    an entry of v: +-1 in nullspace's vectors and nonzero in any case, so a
+    unit of the field.  So the indicator bracket of C, B_C = c^-1 B_sigma =
+    c^-1 v, lies in the solver space.  The vectors meet distinct
+    components, as many as there are, so every component is met: every
+    indicator bracket lies in the solver space, and the basis is the
+    indicator brackets up to units.
+
     Raises BijectionViolation if the solver space and the chain-constant
-    parametrization disagree in any way; that would mean a bug, not math.
+    parametrization disagree in any way.  Should that ever happen, report
+    the poset and the ring: it is a finding about the classification.
     """
     system = build_system(poset, field)
     basis = nullspace(system)
     components = poset.chain_components()
     match = basis.dimension == len(components)
 
-    sigmas = []
+    sigmas, met = [], set()
     for vector in basis.vectors:
         try:
             sigma = extract_sigma(vector)
@@ -435,17 +418,11 @@ def classify(poset: Poset, field: RingSpec) -> ClassificationReport:
             raise BijectionViolation("solver vector's sigma is not chain-constant") from None
         if reproduced != vector:
             raise BijectionViolation("sigma does not reproduce its solver vector")
+        meets = {components.class_index(pair) for pair in sigma.values}
+        if len(meets) != 1 or meets <= met:
+            raise BijectionViolation("indicator bracket falls outside the solver space")
+        met |= meets
         sigmas.append(sigma)
-
-    for cls in components:
-        indicator = SigmaMap(
-            poset, field, {pair: field.one for pair in cls}
-        )
-        candidate = _from_sigma(indicator, components)
-        if not system.satisfied_by(_bracket_to_vector(system, candidate)):
-            raise BijectionViolation(
-                "indicator bracket falls outside the solver space"
-            )
 
     if not match:
         raise BijectionViolation(

@@ -15,7 +15,10 @@ module it checks; `_basis_products`, the n^2 scan over all interval
 pairs, is also the reference that `tests/test_poset.py` checks
 `Poset.basis_products` against.  `from_sigma` walks the whole product
 table, where poisset's walks only the factorisations of sigma's nonzero
-targets.
+targets.  Sigma is read as a total map, every strict pair through
+`SigmaMap.value`, where poisset walks only its support:
+`is_chain_constant` visits every chain component, and `extract_sigma`
+and `is_standard` every strict pair.
 """
 
 from __future__ import annotations
@@ -55,16 +58,26 @@ def _mul_left(a: Interval, coeffs: dict) -> dict:
     return {Interval(x, y): c for (z, y), c in coeffs.items() if z == u}
 
 
+def is_chain_constant(sigma: SigmaMap) -> bool:
+    """SigmaMap.is_chain_constant as a walk over every chain component,
+    reading sigma as a total map through SigmaMap.value."""
+    for cls in sigma.poset.chain_components():
+        first = sigma.value(*cls[0])
+        if any(sigma.value(*pair) != first for pair in cls[1:]):
+            return False
+    return True
+
+
 def from_sigma(sigma: SigmaMap) -> Bracket:
     """The bracket [e_a, e_b] = sigma(t) e_t for each product e_a e_b = e_t,
     a != b, found by a scan of every product."""
-    if not sigma.is_chain_constant():
+    if not is_chain_constant(sigma):
         raise NotChainConstant("sigma takes two values on one chain component")
     P, R = sigma.poset, sigma.ring
     rank = P.interval_index
     table = {}
     for (i, j), t in _basis_products(P).items():
-        if i != j and (w := sigma.values[t].value):
+        if i != j and (w := sigma.value(*t).value):
             if rank(i) < rank(j):
                 table[i, j] = {t: w}
             else:
@@ -235,7 +248,7 @@ def is_standard(bracket, check: bool = True):
     for component in P.connected_components():
         members = set(component)
         values = [
-            sigma.values[pair] for pair in P.strict_pairs() if pair.lo in members
+            sigma.value(*pair) for pair in P.strict_pairs() if pair.lo in members
         ]
         if values and any(v != values[0] for v in values[1:]):
             return None

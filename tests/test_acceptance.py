@@ -353,6 +353,8 @@ def test_verifiers_on_zero_antichain3000():
         (lambda: make_chain(40), integers_mod(7), 20.0, 1),
         (lambda: fence(240), Q, 10.0, 239),
         (lambda: fence(240), integers_mod(7), 10.0, 239),
+        (lambda: fence(960), Q, 3.0, 959),
+        (lambda: fence(960), integers_mod(7), 3.0, 959),
     ],
     ids=[
         "bool4-Q",
@@ -364,6 +366,8 @@ def test_verifiers_on_zero_antichain3000():
         "chain40-Z7",
         "fence240-Q",
         "fence240-Z7",
+        "fence960-Q",
+        "fence960-Z7",
     ],
 )
 def test_classify_scale(build, ring, bound, dimension):

@@ -52,6 +52,7 @@ from poisset import (
     random_element,
     verify_piecewise_witness,
 )
+from poisset.coeff import format_scalar
 from poisset.errors import (
     InconsistentAntisymmetry,
     InvalidPair,
@@ -152,6 +153,53 @@ class TestSigmaMap:
         assert crown_sigma(1, 2, 3, 4) == crown_sigma(1, 2, 3, 4)
         assert crown_sigma(1, 2, 3, 4) != crown_sigma(1, 2, 3, 5)
         assert len({crown_sigma(0, 0, 0, 0), SigmaMap(CROWN, Q, {})}) == 1
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_support_reads_as_the_total_map(self, data):
+        # values given with explicit zeros and in any order: the map keeps
+        # the nonzero ones in canonical order and reads, prints and compares
+        # as the total map over every strict pair
+        poset = data.draw(posets(max_size=6))
+        ring = data.draw(st.sampled_from([Q, integers_mod(2), integers_mod(7)]))
+        pairs = poset.strict_pairs()
+        raw = st.sampled_from((0, 0, 1, -1, 3) if ring is not Q else (0, 0, 1, Fraction(-1, 2), 3))
+        given_values = {}
+        for cls in poset.chain_components():
+            # one value per component, or one per pair: both verdicts of
+            # is_chain_constant
+            if data.draw(st.booleans()):
+                given_values.update(dict.fromkeys(cls, data.draw(raw)))
+            else:
+                given_values.update((pair, data.draw(raw)) for pair in cls)
+        kept = [
+            pair for pair in data.draw(st.permutations(pairs))
+            if given_values[pair] or data.draw(st.booleans())
+        ]
+        sigma = SigmaMap(poset, ring, {pair: given_values[pair] for pair in kept})
+        total = {pair: ring.scalar(given_values[pair]) for pair in pairs}
+
+        assert list(sigma.values.items()) == [(p, v) for p, v in total.items() if v]
+        assert all(sigma.value(*pair) == v for pair, v in total.items())
+        texts = [(pair, format_scalar(v)) for pair, v in total.items()]
+        assert sigma.to_json() == {
+            "entries": [{"lo": lo, "hi": hi, "value": text} for (lo, hi), text in texts]
+        }
+        assert repr(sigma) == "SigmaMap(" + ", ".join(f"({lo},{hi})={t}" for (lo, hi), t in texts) + ")"
+        same = SigmaMap(poset, ring, total)
+        assert sigma == same and hash(sigma) == hash(same)
+        assert SigmaMap.from_json(poset, ring, sigma.to_json()) == sigma
+        assert sigma.is_chain_constant() == reference_bracket.is_chain_constant(sigma)
+        if sigma.is_chain_constant():
+            bracket = from_sigma(sigma)
+            assert extract_sigma(bracket, check=False) == sigma
+            assert is_standard(bracket, check=False) == reference_bracket.is_standard(
+                bracket, check=False
+            )
+        if pairs:
+            pair = data.draw(st.sampled_from(pairs))
+            other = SigmaMap(poset, ring, {**total, pair: total[pair] + ring.one})
+            assert other != sigma
 
 
 class TestBracketTable:
@@ -648,6 +696,13 @@ class TestIsStandard:
         )
         assert witness == expected
         assert witness.is_central()
+
+    def test_partly_covered_component_is_not_standard(self):
+        # sigma zero on some strict pairs of a connected component and not
+        # on others: its support meets the component without covering it
+        assert is_standard(from_sigma(SigmaMap(CROWN, Q, {("1", "3"): 1}))) is None
+        assert is_standard(from_sigma(SigmaMap(fence3(), Q, {("a", "b"): 2}))) is None
+        assert is_standard(from_sigma(SigmaMap(CROWN, Q, {}))) == IncidenceElement.zero(CROWN, Q)
 
     def test_antichain_bracket_is_standard_with_zero_witness(self):
         P = antichain(3)

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     CORPUS,
     antichain,
-    antisymmetric_tables,
     boolean_lattice,
     corpus_params,
     crown_plus_chain3,
@@ -49,8 +48,8 @@ from poisset import (
     nullspace,
 )
 from poisset import solver
-from poisset.errors import BijectionViolation, NotABiderivation, NotAField, RingMismatch
-from poisset.solver import SolutionBasis, _bracket_to_vector, _row
+from poisset.errors import BijectionViolation, NotABiderivation, NotAField
+from poisset.solver import SolutionBasis, _row
 import reference_solver
 from reference_solver import (
     bracket_to_vector,
@@ -476,9 +475,8 @@ class TestSignedUnionFind:
 
 
 class TestSatisfiedBy:
-    """satisfied_by visits only the classes that the vector's nonzero
-    columns meet, through the classes() that nullspace also reads; the
-    reference scans every live column."""
+    """satisfied_by reads the vector class by class, through classes();
+    the reference scans every live column."""
 
     @staticmethod
     def values(ring):
@@ -496,8 +494,8 @@ class TestSatisfiedBy:
         assert system.satisfied_by({})
         live = sorted(system.live)
         if live:
-            # kills and joins after classes() was built: dead classes, odd
-            # cycles and merged classes, each of which must rebuild it
+            # kills and joins after the build: dead classes, odd cycles and
+            # merged classes
             column, sign = st.sampled_from(live), st.sampled_from((1, -1))
             for op, p, q, s in data.draw(st.lists(st.tuples(st.booleans(), column, column, sign), min_size=1, max_size=4)):
                 if op:
@@ -567,7 +565,7 @@ class TestSolutionVectors:
             system = build_system(poset, Q)
             for _ in range(5):
                 sigma = random_sigma(poset, Q, rng)
-                vec = _bracket_to_vector(system, from_sigma(sigma))
+                vec = bracket_to_vector(system, from_sigma(sigma))
                 assert system.satisfied_by(vec)
 
     def test_vector_on_a_fixed_column_is_rejected(self):
@@ -584,29 +582,6 @@ class TestSolutionVectors:
         # B(e11, e12) = e11 on chain-2: not a biderivation
         system = build_system(make_chain(2), Q)
         assert not system.satisfied_by({0: Fraction(1)})
-
-    @settings(deadline=None, max_examples=100)
-    @given(bracket=antisymmetric_tables([Q, integers_mod(2), integers_mod(5)]))
-    def test_vector_reads_what_the_wrapped_walk_reads(self, bracket):
-        # classify passes only antisymmetric brackets; a raw table keyed at
-        # the pairs i before j alone holds the same entries
-        system = LinearSystem(bracket.poset, bracket.ring)
-        rank = system.interval_rank
-        one_side = {p: v for p, v in bracket._full.items() if rank[p[0]] < rank[p[1]]}
-        raw = Bracket(bracket.poset, bracket.ring, one_side, antisymmetric_mode=False)
-        for b in (bracket, raw):
-            got, want = _bracket_to_vector(system, b), bracket_to_vector(system, b)
-            assert {c: (type(v), v) for c, v in got.items()} == {
-                c: (type(v), v) for c, v in want.items()
-            }
-
-    def test_vector_ring_must_match(self):
-        system = build_system(make_crown(), Q)
-        bracket = from_sigma(
-            SigmaMap(make_crown(), integers_mod(3), {("1", "3"): 1})
-        )
-        with pytest.raises(RingMismatch):
-            _bracket_to_vector(system, bracket)
 
 
 class TestClassify:
@@ -707,12 +682,47 @@ class TestBijectionViolations:
         ):
             classify(chain, Q)
 
+    @staticmethod
+    def patch_vectors(monkeypatch, change):
+        # nullspace with its crown vectors replaced by change(vectors): each
+        # one still passes the Leibniz gate and reproduces itself
+        real = solver.nullspace
+
+        def patched(system):
+            vectors = change(real(system).vectors)
+            return SolutionBasis(vectors, list(range(len(vectors))))
+
+        monkeypatch.setattr(solver, "nullspace", patched)
+
     def test_indicator_outside_the_solver_space(self, monkeypatch):
-        monkeypatch.setattr(solver.LinearSystem, "satisfied_by", lambda self, vector: False)
+        # two crown vectors merged into one: its sigma meets two components
+        def merge(vectors):
+            first, second, *rest = vectors
+            table = {**first._full, **second._full}
+            return [Bracket(first.poset, first.ring, table, antisymmetric_mode=False), *rest]
+
+        self.patch_vectors(monkeypatch, merge)
         with pytest.raises(
             BijectionViolation, match="^indicator bracket falls outside the solver space$"
         ):
-            classify(make_chain(3), Q)
+            classify(make_crown(), Q)
+
+    def test_repeated_vector_meets_a_claimed_component(self, monkeypatch):
+        self.patch_vectors(monkeypatch, lambda vectors: [vectors[0], *vectors[:-1]])
+        with pytest.raises(
+            BijectionViolation, match="^indicator bracket falls outside the solver space$"
+        ):
+            classify(make_crown(), Q)
+
+    def test_zero_vector_meets_no_component(self, monkeypatch):
+        def zero_first(vectors):
+            return [Bracket(vectors[0].poset, vectors[0].ring, {}, antisymmetric_mode=True), *vectors[1:]]
+
+        self.patch_vectors(monkeypatch, zero_first)
+        with pytest.raises(
+            BijectionViolation, match="^indicator bracket falls outside the solver space$"
+        ):
+            classify(make_crown(), Q)
 
     def test_dimension_short_of_the_chain_components(self, monkeypatch):
         real = solver.nullspace
