@@ -176,42 +176,51 @@ def is_chain_constant(sigma: SigmaMap) -> bool:
 class Bracket:
     """A bilinear bracket stored by its basis table.
 
-    The table maps each ordered pair (i, j) with B(e_i, e_j) nonzero to its
-    coefficients as raw ring values; a missing pair reads as zero.  In
-    antisymmetric mode the caller gives only the pairs with i before j in
-    the canonical interval order (any other key raises InvalidPair) and the
-    constructor adds the mirrors, B(e_j, e_i) = -B(e_i, e_j); the diagonal
-    is zero.  In raw mode the table
-    is kept as given; this is how unvalidated input is held so that the
-    checks can report its violations.  Callers must not mutate the table.
+    The table maps each pair of interval ranks (i, j) with B(e_i, e_j)
+    nonzero to its nonzero coefficients {rank k: int}, all values times one
+    scale (RingSpec.scale); a missing pair reads as zero.  The checks read
+    it as stored: their residuals are linear or bilinear in the values, so
+    each vanishes iff its scaled sum does.  value, stored_pairs, to_json,
+    extract_sigma and extract_lambda give intervals and raw ring values.
+    The constructor takes raw ring values by interval rank and is the one
+    place that mirrors, scales and canonicalises them: values reduced, zero
+    values and empty pairs dropped.  In antisymmetric mode the caller gives
+    only the pairs with i < j (any other key raises InvalidPair) and the
+    constructor adds the mirrors B(e_j, e_i) = -B(e_i, e_j); the diagonal
+    is zero.  In raw mode every pair is kept, so that the checks can report
+    the violations of unvalidated input.  Callers must not mutate the table.
     """
 
-    __slots__ = ("poset", "ring", "antisymmetric_mode", "_zero", "_full")
+    __slots__ = ("poset", "ring", "antisymmetric_mode", "_zero", "_scale", "_table")
 
     def __init__(
         self,
         poset: Poset,
         ring: RingSpec,
-        table: dict[tuple[Interval, Interval], dict],
+        table: dict[tuple[int, int], dict[int, object]],
         antisymmetric_mode: bool,
     ):
         self.poset = poset
         self.ring = ring
         self.antisymmetric_mode = antisymmetric_mode
         self._zero = IncidenceElement.zero(poset, ring)
-        if antisymmetric_mode:
-            rank = poset.interval_index
-            full: dict[tuple[Interval, Interval], dict] = {}
-            for (i, j), values in table.items():
-                if rank(i) >= rank(j):
-                    raise InvalidPair(
-                        f"antisymmetric storage needs i before j, got ({i}, {j})"
-                    )
-                full[i, j] = values
-                full[j, i] = mirrored = {}
-                ring.axpy(mirrored, values, -1)
-            table = full
-        self._full = table
+        self._scale = s = ring.scale(table.values())
+        reduce = ring.reduce
+        full: dict[tuple[int, int], dict[int, int]] = {}
+        for (i, j), values in table.items():
+            if antisymmetric_mode and i >= j:
+                ivs = poset.intervals()
+                raise InvalidPair(
+                    f"antisymmetric storage needs i before j, got ({ivs[i]}, {ivs[j]})"
+                )
+            scaled = {
+                k: r for k, v in values.items() if (r := reduce(v.numerator * (s // v.denominator)))
+            }
+            if scaled:
+                full[i, j] = scaled
+                if antisymmetric_mode:
+                    full[j, i] = {k: reduce(-v) for k, v in scaled.items()}
+        self._table = full
 
     @staticmethod
     def from_basis_table(
@@ -235,7 +244,8 @@ class Bracket:
 
         # zero values are kept here too, so that a mirror has a value to
         # be compared with whichever orientation comes first
-        table: dict[tuple[Interval, Interval], dict] = {}
+        rank = poset.interval_index
+        table: dict[tuple[int, int], dict] = {}
         for (left_key, right_key), value in entries.items():
             left, right = as_interval(left_key), as_interval(right_key)
             if not isinstance(value, IncidenceElement):
@@ -244,71 +254,93 @@ class Bracket:
                 raise PosetMismatch(f"value at ({left}, {right}) uses another poset")
             if value.ring != ring:
                 raise RingMismatch(f"value at ({left}, {right}) lives in {value.ring}")
-            values = value._values()
+            a, b = rank(left), rank(right)
             if antisymmetric:
-                if left == right:
+                if a == b:
                     if value:
                         raise InconsistentAntisymmetry(
                             f"B(e_{left}, e_{left}) must vanish, got {value!r}"
                         )
                     continue
-                if poset.interval_index(left) > poset.interval_index(right):
-                    left, right, values = right, left, (-value)._values()
-                if table.get((left, right), values) != values:
-                    raise InconsistentAntisymmetry(
-                        f"B{(left, right)} and its mirror disagree with antisymmetry"
-                    )
-            table[left, right] = values
-        return Bracket(poset, ring, {k: v for k, v in table.items() if v}, antisymmetric)
+                if a > b:
+                    a, b, left, right, value = b, a, right, left, -value
+            values = {rank(k): c.value for k, c in value.coeffs.items()}
+            if antisymmetric and table.get((a, b), values) != values:
+                raise InconsistentAntisymmetry(
+                    f"B{(left, right)} and its mirror disagree with antisymmetry"
+                )
+            table[a, b] = values
+        return Bracket(poset, ring, table, antisymmetric)
 
     # -- table access --------------------------------------------------------
 
     def value(self, i: Interval, j: Interval) -> IncidenceElement:
-        """B(e_i, e_j)."""
-        return self._zero._wrap(self._full.get((i, j), {}))
+        """B(e_i, e_j); zero when i or j is no interval, as no entry is stored."""
+        rank = self.poset.interval_index
+        try:
+            return self._element(self._table.get((rank(i), rank(j)), {}))
+        except KeyError:
+            return self._zero
+
+    def _element(self, sums: dict[int, int], scale: int = 1) -> IncidenceElement:
+        """The element of int sums by interval rank over the table's scale
+        times scale; a stored value, unscaled, when scale is 1."""
+        ivs = self.poset.intervals()
+        return self._zero._wrap(
+            self.ring.unscale({ivs[k]: v for k, v in sums.items()}, self._scale * scale)
+        )
 
     def stored_pairs(self) -> list[tuple[Interval, Interval]]:
         """The pairs of the table in canonical order; in antisymmetric mode
         only those with i before j, as they were given."""
-        rank = self.poset.interval_index
-        pairs = sorted(self._full, key=lambda p: (rank(p[0]), rank(p[1])))
-        if self.antisymmetric_mode:
-            return [(i, j) for i, j in pairs if rank(i) < rank(j)]
-        return pairs
+        ivs, mirrored = self.poset.intervals(), self.antisymmetric_mode
+        return [(ivs[i], ivs[j]) for i, j in sorted(self._table) if i < j or not mirrored]
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, f: IncidenceElement, g: IncidenceElement) -> IncidenceElement:
-        """The bilinear extension: sum of f(i) g(j) B(e_i, e_j)."""
+        """The bilinear extension: sum of f(i) g(j) B(e_i, e_j), on the
+        scaled ints of f, g and the table, unscaled once per entry."""
         for el in (f, g):
             if el.poset != self.poset:
                 raise PosetMismatch("argument lives over another poset")
             if el.ring != self.ring:
                 raise RingMismatch(f"argument lives in {el.ring}, not {self.ring}")
-        full = self._full
-        axpy = self.ring.axpy
-        acc: dict[Interval, object] = {}
-        for i, fi in f.coeffs.items():
-            for j, gj in g.coeffs.items():
-                val = full.get((i, j))
-                if val:
-                    axpy(acc, val, fi.value * gj.value)
-        return f._wrap(acc)
+        (fs, sf), (gs, sg) = f._scaled(), g._scaled()
+        rank, table = self.poset.interval_index, self._table
+        right = [(rank(j), b) for j, b in gs.items()]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for iv, a in fs.items():
+            i = rank(iv)
+            for j, b in right:
+                coeffs = table.get((i, j))
+                if coeffs:
+                    ab = a * b
+                    for k, v in coeffs.items():
+                        acc[k] = get(k, 0) + ab * v
+        return self._element(acc, sf * sg)
 
     # -- equality ------------------------------------------------------------
 
     def _key(self) -> tuple:
-        """Poset, ring and every nonzero B(e_i, e_j) in both orientations,
-        so raw and antisymmetric storage of one bracket give one key."""
+        """Poset, ring, scale and every nonzero B(e_i, e_j) in both
+        orientations, so raw and antisymmetric storage of one bracket give
+        one key."""
         values = frozenset(
-            (pair, frozenset(coeffs.items())) for pair, coeffs in self._full.items()
+            (pair, frozenset(coeffs.items())) for pair, coeffs in self._table.items()
         )
-        return self.poset, self.ring, values
+        return self.poset, self.ring, self._scale, values
 
     def __eq__(self, other):
         if not isinstance(other, Bracket):
             return NotImplemented
-        return self._key() == other._key()
+        return (
+            self.poset == other.poset
+            and self.ring == other.ring
+            and self._scale == other._scale
+            and self._table == other._table
+        )
 
     def __hash__(self):
         return hash(self._key())
@@ -323,14 +355,14 @@ class Bracket:
         """Table as JSON: every nonzero B(e_i, e_j), for an antisymmetric
         table in both orientations, so that the file alone certifies
         antisymmetry when re-verified."""
-        order = self.poset.interval_index
+        ivs, table = self.poset.intervals(), self._table
         pairs = []
-        for i, j in sorted(self._full, key=lambda p: (order(p[0]), order(p[1]))):
+        for i, j in sorted(table):
             pairs.append(
                 {
-                    "left": {"lo": i.lo, "hi": i.hi},
-                    "right": {"lo": j.lo, "hi": j.hi},
-                    "value": self.value(i, j).to_json()["entries"],
+                    "left": {"lo": ivs[i].lo, "hi": ivs[i].hi},
+                    "right": {"lo": ivs[j].lo, "hi": ivs[j].hi},
+                    "value": self._element(table[i, j]).to_json()["entries"],
                 }
             )
         return {"pairs": pairs}
@@ -362,12 +394,12 @@ def check_antisymmetric(bracket: Bracket) -> CheckReport:
     """B(e_i, e_i) = 0 and B(e_i, e_j) + B(e_j, e_i) = 0 for all pairs.
 
     Only a pair with a stored entry in some orientation can fail, so only
-    those are examined, on the int rank table; every other pair is counted
+    those are examined, on the stored table; every other pair is counted
     as a pass.
     """
     report = CheckReport("antisymmetry")
     ivs = bracket.poset.intervals()
-    table = _rank_table(bracket)
+    table = bracket._table
     reduce = bracket.ring.reduce
     diagonal, pairs, empty = [], [], {}
     for (i, j), values in table.items():
@@ -386,9 +418,6 @@ def check_antisymmetric(bracket: Bracket) -> CheckReport:
         report.fail("antisymmetry", {"left": list(ivs[ri]), "right": list(ivs[rj])})
     n = len(ivs)
     _count_rest(report, "antisymmetry", n + n * (n - 1) // 2 - len(report.failures))
-    # the Leibniz pass of the same check_biderivation or _require_biderivation
-    # call reads this table instead of building its own
-    report._table = table
     return report
 
 
@@ -397,21 +426,6 @@ def _count_rest(report: CheckReport, check: str, passes: int):
     # instance was counted one at a time
     if passes:
         report.count_pass(check, passes)
-
-
-def _rank_table(bracket: Bracket) -> dict[tuple[int, int], dict]:
-    """Every nonzero B(e_i, e_c), both orientations, on interval ranks, with
-    all values times one positive integer that makes them ints
-    (RingSpec.scale): the antisymmetry and Leibniz residuals are linear in
-    the values and the Jacobi sums bilinear, so each vanishes iff its
-    scaled form does.  Ranks come from interval_index, not the product
-    table, so check_antisymmetric stays O(stored), not O(products)."""
-    full, rank = bracket._full, bracket.poset.interval_index
-    s = bracket.ring.scale(full.values())
-    return {
-        (rank(i), rank(c)): {rank(k): v.numerator * (s // v.denominator) for k, v in coeffs.items()}
-        for (i, c), coeffs in full.items()
-    }
 
 
 def check_biderivation(bracket: Bracket) -> CheckReport:
@@ -429,30 +443,15 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
     failing triples are reported in canonical order, pass counts are n^3
     minus the failures.
     """
-    antisymmetry = check_antisymmetric(bracket)
-    return _biderivation(bracket, antisymmetry.ok, antisymmetry._table)
-
-
-def _by_right(table: dict[tuple[int, int], dict]) -> dict[int, list]:
-    """The entries of a rank table by their right argument: lines[c] lists
-    the (i, values) of the stored B(e_i, e_c)."""
-    lines: dict[int, list] = {}
-    for (i, c), values in table.items():
-        lines.setdefault(c, []).append((i, values))
-    return lines
-
-
-def _biderivation(bracket: Bracket, antisym: bool, table: dict) -> CheckReport:
+    antisym = check_antisymmetric(bracket).ok
     report = CheckReport("biderivation")
     ivs = bracket.poset.intervals()
     basis = bracket.poset.basis_products()
-
-    reduce = bracket.ring.reduce
-    fail1 = set(_leibniz_failures(_by_right(table), basis, reduce))
+    table, reduce = bracket._table, bracket.ring.reduce
+    fail1 = set(_leibniz_failures(_lines(table, 1), basis, reduce))
     # the second identity at (a, b, c) is the first at (b, c, a) for the
     # transposed table B'(u, v) = B(v, u)
-    transposed = _by_right({(c, i): values for (i, c), values in table.items()})
-    fail2 = {(a, b, c) for b, c, a in _leibniz_failures(transposed, basis, reduce)}
+    fail2 = {(a, b, c) for b, c, a in _leibniz_failures(_lines(table, 0), basis, reduce)}
     for triple in sorted(fail1 | fail2):
         for check, failed in (("leibniz_1", fail1), ("leibniz_2", fail2)):
             if triple in failed:
@@ -472,6 +471,15 @@ def _biderivation(bracket: Bracket, antisym: bool, table: dict) -> CheckReport:
                 "leibniz_equivalence", {"note": "Eq (1) and Eq (2) disagree"}
             )
     return report
+
+
+def _lines(table: dict[tuple[int, int], dict], side: int) -> dict[int, list]:
+    """The stored entries by one argument: lines[c] lists the (i, values) of
+    the stored B(e_i, e_c) for side 1, of the stored B(e_c, e_i) for 0."""
+    lines: dict[int, list] = {}
+    for pair, values in table.items():
+        lines.setdefault(pair[side], []).append((pair[1 - side], values))
+    return lines
 
 
 def _leibniz_failures(lines, basis, reduce) -> list[tuple[int, int, int]]:
@@ -514,9 +522,8 @@ def check_jacobi(bracket: Bracket) -> CheckReport:
     """
     report = CheckReport("jacobi")
     ivs = bracket.poset.intervals()
-    table = _rank_table(bracket)
-    reduce = bracket.ring.reduce
-    by_right = _by_right(table)  # the stored B(x, k) by k
+    table, reduce = bracket._table, bracket.ring.reduce
+    by_right = _lines(table, 1)  # the stored B(x, k) by k
 
     sums: dict[tuple[int, int, int], dict] = {}  # by first rotation
     for (y, z), inner in table.items():
@@ -540,15 +547,13 @@ def check_jacobi(bracket: Bracket) -> CheckReport:
 
 
 def _require_biderivation(bracket: Bracket):
-    antisymmetry = check_antisymmetric(bracket)
-    if not antisymmetry.ok:
+    if not check_antisymmetric(bracket).ok:
         raise NotABiderivation("bracket is not antisymmetric")
     # for an antisymmetric table the second Leibniz identity at (a, b, c) is
     # minus the first at (b, c, a) (see poisset.solver), so both hold iff
     # the first does: one pass gives check_biderivation's verdict
-    basis = bracket.poset.basis_products()
-    lines = _by_right(antisymmetry._table)
-    if _leibniz_failures(lines, basis, bracket.ring.reduce):
+    basis, reduce = bracket.poset.basis_products(), bracket.ring.reduce
+    if _leibniz_failures(_lines(bracket._table, 1), basis, reduce):
         raise NotABiderivation("bracket violates a Leibniz identity")
 
 
@@ -565,21 +570,20 @@ def _from_sigma(sigma: SigmaMap, classes: PairPartition) -> Bracket:
     if not sigma._constant_on(classes):
         raise NotChainConstant("sigma takes two values on one chain component")
     P, R = sigma.poset, sigma.ring
-    ivs, basis = P.intervals(), P.basis_products()
+    basis = P.basis_products()
     factors, rank = basis.factors, basis.rank
-    table: dict[tuple[Interval, Interval], dict] = {}
+    table: dict[tuple[int, int], dict] = {}
     # [e_a, e_b] = e_t for each product e_a e_b = e_t of a strict target t
     # in sigma's support (a != b there), stored with a before b; the
-    # constructor adds the mirror
+    # constructor reduces -w and adds the mirror
     for pair, scalar in sigma.values.items():
         # a StrictPair finds its Interval key: equal, same hash
         t, w = rank[pair], scalar.value
-        target, minus = ivs[t], R.reduce(-w)
         for a, b in factors[t]:
             if a < b:
-                table[ivs[a], ivs[b]] = {target: w}
+                table[a, b] = {t: w}
             else:
-                table[ivs[b], ivs[a]] = {target: minus}
+                table[b, a] = {t: -w}
     return Bracket(P, R, table, antisymmetric_mode=True)
 
 
@@ -594,11 +598,13 @@ def extract_sigma(bracket: Bracket, check: bool = True) -> SigmaMap:
     if check:
         _require_biderivation(bracket)
     P, R = bracket.poset, bracket.ring
-    values = {}
-    for ((x, x2), (lo, hi)), coeffs in bracket._full.items():
-        if x == x2 == lo != hi and (value := coeffs.get((lo, hi))) is not None:
-            values[lo, hi] = Scalar(R, value)
-    return SigmaMap(P, R, values)
+    ivs, found = P.intervals(), {}
+    for (i, c), coeffs in bracket._table.items():
+        (x, x2), (lo, hi) = ivs[i], ivs[c]
+        if x == x2 == lo != hi and (value := coeffs.get(c)) is not None:
+            found[lo, hi] = value
+    values = R.unscale(found, bracket._scale)
+    return SigmaMap(P, R, {pair: Scalar(R, value) for pair, value in values.items()})
 
 
 def extract_lambda(
@@ -780,24 +786,24 @@ def lemma_suite(
         _require_biderivation(bracket)
     report = CheckReport("lemma_suite")
     P, R = bracket.poset, bracket.ring
-    labels = P.elements
+    labels, ivs, rank = P.elements, P.intervals(), P.interval_index
     pos = {x: k for k, x in enumerate(labels)}
     n = len(labels)
     rng = random.Random(seed)
     xs = [random_element(P, R, rng) for _ in range(samples)]
     ys = [random_element(P, R, rng) for _ in range(samples)]
-    full = bracket._full
-    axpy, reduce = R.axpy, R.reduce
-    row: dict[Interval, list[tuple[Interval, dict]]] = {}
-    for (i, j), coeffs in full.items():
+    table, reduce = bracket._table, R.reduce
+    # the label positions of each interval's ends, the rank of each e_xx
+    lo, hi = [pos[x] for x, _ in ivs], [pos[y] for _, y in ivs]
+    idem = [rank((x, x)) for x in labels]
+    row: dict[int, list[tuple[int, dict]]] = {}
+    for (i, j), coeffs in table.items():
         row.setdefault(i, []).append((j, coeffs))
-    diagonal = [i for i in row if i.lo == i.hi]
+    diagonal = [i for i in row if lo[i] == hi[i]]
 
     # orthogonal idempotents bracket to zero
     orthogonal = sorted(
-        (pos[i.lo], pos[j.lo])
-        for i, j in full
-        if i.lo == i.hi and j.lo == j.hi and i != j
+        (lo[i], lo[j]) for i, j in table if lo[i] == hi[i] and lo[j] == hi[j] and i != j
     )
     for e, f in orthogonal:
         report.fail("orthogonal_vanishing", {"e": labels[e], "f": labels[f]})
@@ -814,13 +820,18 @@ def lemma_suite(
     failed = dict.fromkeys(checks, 0)
 
     def times(coeffs: Mapping, a) -> dict:
-        out: dict = {}
-        axpy(out, coeffs, a)
-        return out
+        return {k: r for k, v in coeffs.items() if (r := reduce(v * a))}
+
+    def add(acc: dict, coeffs: Mapping, a):
+        for k, v in coeffs.items():
+            acc[k] = acc.get(k, 0) + a * v
 
     for s in range(samples):
-        X, Y = xs[s]._values(), ys[s]._values()
-        # each lemma's two sides: label-position tuple -> raw nonzero value,
+        # x and y as scaled ints by rank: the two sides of each lemma are
+        # sums of the same products of stored values with x, y or both, so
+        # they carry one scale and are compared as ints
+        X, Y = ({rank(iv): v for iv, v in el._scaled()[0].items()} for el in (xs[s], ys[s]))
+        # each lemma's two sides: label-position tuple -> nonzero value,
         # reached at each tuple by exactly one term of the sources below
         sides = {check: ({}, {}) for check in checks}
         (sw_l, sw_r), (ex_l, ex_r), (fw_l, fw_r), (bw_l, bw_r), (co_l, co_r) = sides.values()
@@ -829,36 +840,36 @@ def lemma_suite(
         # lhs x(f, g) B(e_e, e_fg), rhs B(e_e, x)(f, g) e_fg
         bex, bgy = {}, {}  # B(e_e, x) by e and B(e_g, y) by g
         for i in diagonal:
-            e = pos[i.lo]
-            bx = bex[i.lo] = {}
-            by = bgy[i.lo] = {}
+            e, bx, by = lo[i], {}, {}
             for j, coeffs in row[i]:
                 if j in X and (v := times(coeffs, X[j])):
-                    sw_l[e, pos[j.lo], pos[j.hi]] = v
-                    axpy(bx, v, 1)
+                    sw_l[e, lo[j], hi[j]] = v
+                    add(bx, v, 1)
                 if j in Y:
-                    axpy(by, coeffs, Y[j])
+                    add(by, coeffs, Y[j])
+            bex[e] = bx = times(bx, 1)
+            bgy[e] = times(by, 1)
             for fg, b in bx.items():
-                sw_r[e, pos[fg.lo], pos[fg.hi]] = {fg: b}
+                sw_r[e, lo[fg], hi[fg]] = {fg: b}
 
         # B(e, exf) = B(exf, f); the lhs is the sandwich lhs at (e, e, f)
         ex_l.update(((e, g), v) for (e, f, g), v in sw_l.items() if e == f)
         for ef, a in X.items():
-            if v := times(full.get((ef, Interval(ef.hi, ef.hi)), {}), a):
-                ex_r[pos[ef.lo], pos[ef.hi]] = v
+            if v := times(table.get((ef, idem[hi[ef]]), {}), a):
+                ex_r[lo[ef], hi[ef]] = v
 
         # the stored B(e_ef, e_gh) with x(e, f) and y(g, h) nonzero, e < f:
         # the left sides of the chaining and corner instances
-        x_from: dict[str, list[Interval]] = {}  # strict [e, f] of x by e
+        x_from: dict[int, list[int]] = {}  # strict [e, f] of x by e
         for ef, a in X.items():
-            if ef.lo == ef.hi:
+            e, f = lo[ef], hi[ef]
+            if e == f:
                 continue
-            x_from.setdefault(ef.lo, []).append(ef)
-            e, f = pos[ef.lo], pos[ef.hi]
+            x_from.setdefault(e, []).append(ef)
             for gh, coeffs in row.get(ef, ()):
                 if gh not in Y or not (v := times(coeffs, a * Y[gh])):
                     continue
-                g, h = pos[gh.lo], pos[gh.hi]
+                g, h = lo[gh], hi[gh]
                 if g == f and h != f:
                     fw_l[e, f, h] = v
                 if h == e and g != e:
@@ -871,25 +882,25 @@ def lemma_suite(
                         co_r[e, f, g, h] = {ef: v[ef]}
 
         # distinct triples: B(exf, fyg) = e B(e, x) f y g, rhs B(e_e, x)(e, f) y(f, g) e_eg
-        y_from: dict[str, list[Interval]] = {}  # strict [f, g] of y by f
+        y_from: dict[int, list[int]] = {}  # strict [f, g] of y by f
         for fg in Y:
-            if fg.lo != fg.hi:
-                y_from.setdefault(fg.lo, []).append(fg)
-        for lo, b in bex.items():
+            if lo[fg] != hi[fg]:
+                y_from.setdefault(lo[fg], []).append(fg)
+        for e, b in bex.items():
             for ef, c in b.items():
-                if ef.lo == lo and ef.hi != lo:
-                    e, f = pos[lo], pos[ef.hi]
-                    for fg in y_from.get(ef.hi, ()):
+                if lo[ef] == e and hi[ef] != e:
+                    f = hi[ef]
+                    for fg in y_from.get(f, ()):
                         if v := reduce(c * Y[fg]):
-                            fw_r[e, f, pos[fg.hi]] = {Interval(lo, fg.hi): v}
+                            fw_r[e, f, hi[fg]] = {rank((labels[e], ivs[fg].hi)): v}
 
         # distinct triples: B(exf, gye) = -g B(g, y) exf, rhs -B(e_g, y)(g, e) x(e, f) e_gf
-        for lo, b in bgy.items():
+        for g, b in bgy.items():
             for ge, c in b.items():
-                if ge.lo == lo and ge.hi != lo:
-                    for ef in x_from.get(ge.hi, ()):
+                if lo[ge] == g and hi[ge] != g:
+                    for ef in x_from.get(hi[ge], ()):
                         if v := reduce(-(c * X[ef])):
-                            bw_r[pos[ef.lo], pos[ef.hi], pos[lo]] = {Interval(lo, ef.hi): v}
+                            bw_r[lo[ef], hi[ef], g] = {rank((labels[g], ivs[ef].hi)): v}
 
         for check, (lhs, rhs) in sides.items():
             names = checks[check][0]
@@ -903,4 +914,3 @@ def lemma_suite(
     for check, (_, total) in checks.items():
         _count_rest(report, check, samples * total - failed[check])
     return report
-

@@ -17,8 +17,10 @@ so Z/m reduces once, at the end.  A check that only asks whether a sum
 linear or bilinear in the values vanishes needs no unscale: it vanishes
 iff the scaled sum does, after reduce.  IncidenceElement's product and
 commutator (poisset.algebra) convolve this way, the commutator with both
-products on one scale, and the rank table that check_antisymmetric, the
-Leibniz checks and check_jacobi read (poisset.bracket) holds scaled ints.
+products on one scale.  A Bracket (poisset.bracket) stores its table as
+scaled ints on interval ranks, which check_antisymmetric, the Leibniz
+checks and check_jacobi read as stored, and Bracket.evaluate and
+lemma_suite sum on those ints and on their arguments' scaled ints.
 """
 
 from __future__ import annotations

@@ -105,7 +105,7 @@ from .errors import (
     NotAField,
     NotChainConstant,
 )
-from .poset import Interval, Poset
+from .poset import Poset
 
 
 class LinearSystem:
@@ -124,7 +124,6 @@ class LinearSystem:
         self.poset = poset
         self.ring = ring
         self.intervals = intervals = poset.intervals()
-        self.interval_rank = poset.basis_products().rank
         n = len(intervals)
         # the pair (i, j), i < j, has rank pair_start[i] + j - i - 1
         self.pair_start = [i * (2 * n - i - 1) // 2 for i in range(n)]
@@ -224,18 +223,6 @@ class LinearSystem:
             found.setdefault(root, []).append((c, s))
         return found
 
-    def satisfied_by(self, vector: dict[int, object]) -> bool:
-        """True iff the vector is zero off the live columns and on the dead
-        classes, and x_c = s x_root on every column c of a live class."""
-        red, live, dead = self.ring.reduce, self.live, self.dead
-        if any(red(v) for col, v in vector.items() if col not in live):
-            return False
-        for root, members in self.classes().items():
-            x = 0 if root in dead else vector.get(root, 0)
-            if any(red(vector.get(c, 0) - s * x) for c, s in members):
-                return False
-        return True
-
 
 class SolutionBasis:
     """Deterministic basis of the solution space, one Bracket per vector."""
@@ -321,13 +308,12 @@ def _row(first, second, third) -> list[tuple[int, int]]:
 
 def _vector_to_bracket(system: LinearSystem, vector: dict[int, object]) -> Bracket:
     """The bracket of a solution vector of canonical nonzero raw values."""
-    intervals, start = system.intervals, system.pair_start
-    table: dict[tuple[Interval, Interval], dict] = {}
+    n, start = len(system.intervals), system.pair_start
+    table: dict[tuple[int, int], dict] = {}
     for col, value in vector.items():
-        r, k = divmod(col, len(intervals))  # LinearSystem.column inverted
+        r, k = divmod(col, n)  # LinearSystem.column inverted
         i = bisect_right(start, r) - 1
-        pair = intervals[i], intervals[r - start[i] + i + 1]
-        table.setdefault(pair, {})[intervals[k]] = value
+        table.setdefault((i, r - start[i] + i + 1), {})[k] = value
     return Bracket(system.poset, system.ring, table, antisymmetric_mode=True)
 
 

@@ -2,11 +2,16 @@
 
 Each check visits every basis pair or triple, n^2 or n^3 of them, and
 counts a pass one instance at a time; `lemma_suite` likewise evaluates
-every label triple and quadruple through `Bracket.evaluate`.  That
+every label triple and quadruple through `evaluate` below.  That
 follows the definitions directly and is slow on large posets;
 `tests/test_bracket.py` checks that the output-sensitive verifiers and
 lemma suite return the same report, failures in the same order, and
-that `is_standard` returns the same witness.  `require_biderivation`,
+that `is_standard` returns the same witness.  The references read a
+bracket only through its public readers: `raw_table` gives every stored
+B(e_i, e_j) by interval, as raw ring values, from `stored_pairs` and
+`value`, and `evaluate` sums f(i) g(j) B(e_i, e_j) through `value` and
+element arithmetic; `ranked` turns an interval-keyed raw table into the
+rank-keyed one that the `Bracket` constructor takes.  `require_biderivation`,
 the gate of every check=True entry point and of `lemma_suite(strict=True)`,
 runs both exhaustive checks, and `extract_sigma` reads sigma through
 `Bracket.value` and `IncidenceElement.coeff`.  The product helpers are
@@ -58,6 +63,35 @@ def _mul_left(a: Interval, coeffs: dict) -> dict:
     return {Interval(x, y): c for (z, y), c in coeffs.items() if z == u}
 
 
+def raw_table(bracket) -> dict:
+    """Every nonzero B(e_i, e_j), both orientations, as {(i, j): {k: raw
+    value}} by interval, read through stored_pairs and value."""
+    pairs = bracket.stored_pairs()
+    if bracket.antisymmetric_mode:
+        pairs += [(j, i) for i, j in pairs]
+    return {pair: bracket.value(*pair)._values() for pair in pairs}
+
+
+def ranked(poset, table: dict) -> dict:
+    """An interval-keyed raw table keyed by interval rank, as the Bracket
+    constructor takes it."""
+    rank = poset.interval_index
+    return {
+        (rank(i), rank(j)): {rank(k): v for k, v in coeffs.items()}
+        for (i, j), coeffs in table.items()
+    }
+
+
+def evaluate(bracket, f, g):
+    """Bracket.evaluate as the sum of f(i) g(j) B(e_i, e_j) over the terms
+    of f and g, through Bracket.value, IncidenceElement.scale and +."""
+    out = IncidenceElement.zero(bracket.poset, bracket.ring)
+    for i, fi in f.coeffs.items():
+        for j, gj in g.coeffs.items():
+            out = out + bracket.value(i, j).scale(fi * gj)
+    return out
+
+
 def is_chain_constant(sigma: SigmaMap) -> bool:
     """SigmaMap.is_chain_constant as a walk over every chain component,
     reading sigma as a total map through SigmaMap.value."""
@@ -82,14 +116,14 @@ def from_sigma(sigma: SigmaMap) -> Bracket:
                 table[i, j] = {t: w}
             else:
                 table[j, i] = {t: R.reduce(-w)}
-    return Bracket(P, R, table, antisymmetric_mode=True)
+    return Bracket(P, R, ranked(P, table), antisymmetric_mode=True)
 
 
 def check_antisymmetric(bracket) -> CheckReport:
     """B(e_i, e_i) = 0 and B(e_i, e_j) + B(e_j, e_i) = 0 for all pairs."""
     report = CheckReport("antisymmetry")
     ivs = bracket.poset.intervals()
-    full = bracket._full
+    full = raw_table(bracket)
     empty: dict = {}
     for i in ivs:
         if full.get((i, i)):
@@ -123,7 +157,7 @@ def check_biderivation(bracket) -> CheckReport:
     P = bracket.poset
     ivs = P.intervals()
     prod = _basis_products(P)
-    full = bracket._full
+    full = raw_table(bracket)
     axpy = bracket.ring.axpy
     empty: dict = {}
     antisym = check_antisymmetric(bracket).ok
@@ -187,7 +221,7 @@ def check_jacobi(bracket) -> CheckReport:
     """B(a, B(b, c)) + B(b, B(c, a)) + B(c, B(a, b)) = 0 on basis triples."""
     report = CheckReport("jacobi")
     ivs = bracket.poset.intervals()
-    full = bracket._full
+    full = raw_table(bracket)
     axpy = bracket.ring.axpy
     empty: dict = {}
 
@@ -296,7 +330,7 @@ def lemma_suite(
 
     for s in range(samples):
         x, y = xs[s], ys[s]
-        bex = {e: bracket.evaluate(idem[e], x) for e in labels}
+        bex = {e: evaluate(bracket, idem[e], x) for e in labels}
         sx = {(a, b): x.sandwich(a, b) for a in labels for b in labels}
         sy = {(a, b): y.sandwich(a, b) for a in labels for b in labels}
 
@@ -305,7 +339,7 @@ def lemma_suite(
             for f in labels:
                 for g in labels:
                     fxg = sx[(f, g)]
-                    lhs = bracket.evaluate(idem[e], fxg)
+                    lhs = evaluate(bracket, idem[e], fxg)
                     rhs = bex[e].sandwich(f, g)
                     bad = lhs != rhs
                     if not bad and e != f and e != g and lhs:
@@ -322,8 +356,8 @@ def lemma_suite(
         for e in labels:
             for f in labels:
                 exf = sx[(e, f)]
-                lhs = bracket.evaluate(idem[e], exf)
-                rhs = bracket.evaluate(exf, idem[f])
+                lhs = evaluate(bracket, idem[e], exf)
+                rhs = evaluate(bracket, exf, idem[f])
                 if lhs != rhs:
                     report.fail("endpoint_exchange", {"e": e, "f": f, "sample": s})
                 else:
@@ -339,7 +373,7 @@ def lemma_suite(
                 for g in labels:
                     if g == e or g == f:
                         continue
-                    lhs = bracket.evaluate(exf, sy[(f, g)])
+                    lhs = evaluate(bracket, exf, sy[(f, g)])
                     rhs = ebexf * y * idem[g]
                     if lhs != rhs:
                         report.fail(
@@ -350,7 +384,7 @@ def lemma_suite(
                         report.count_pass("forward_chaining")
 
         # distinct triples: B(exf, gye) = -g B(g, y) exf
-        gby = {g: idem[g] * bracket.evaluate(idem[g], y) for g in labels}
+        gby = {g: idem[g] * evaluate(bracket, idem[g], y) for g in labels}
         for e in labels:
             for f in labels:
                 if f == e:
@@ -359,7 +393,7 @@ def lemma_suite(
                 for g in labels:
                     if g == e or g == f:
                         continue
-                    lhs = bracket.evaluate(exf, sy[(g, e)])
+                    lhs = evaluate(bracket, exf, sy[(g, e)])
                     rhs = -(gby[g] * exf)
                     if lhs != rhs:
                         report.fail(
@@ -382,7 +416,7 @@ def lemma_suite(
                     for h in labels:
                         if h == e or h == g:
                             continue
-                        val = bracket.evaluate(exf, sy[(g, h)])
+                        val = evaluate(bracket, exf, sy[(g, h)])
                         if not val:
                             report.count_pass("corner_support")
                             continue

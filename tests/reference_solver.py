@@ -12,8 +12,9 @@ keeps every column live.  The tests check that build_system returns the
 same zero columns, rank, free columns and basis vectors as both, and, through
 idempotent_rows, that each column it drops is zero by the rows the
 solver's module docstring names: a single-entry row of rule 1, or a chain
-of transport rows ending at a single-entry row.  satisfied_by is the
-full scan of every live column that LinearSystem.satisfied_by replaced.
+of transport rows ending at a single-entry row.  satisfied_by checks a
+vector against the signed classes of a LinearSystem by a scan of every
+live column.
 """
 
 from fractions import Fraction
@@ -32,7 +33,7 @@ class EchelonSystem(Echelon):
         layout = LinearSystem(poset, ring)  # NotAField over a non-field
         self.poset = poset
         self.intervals = layout.intervals
-        self.interval_rank = layout.interval_rank
+        self.interval_rank = poset.basis_products().rank
         self.pair_start = layout.pair_start
         self.num_unknowns = layout.num_unknowns
         self.column = layout.column
@@ -285,7 +286,7 @@ def reference_nullspace(system: EchelonSystem) -> SolutionBasis:
 def bracket_to_vector(system, bracket: Bracket) -> dict[int, object]:
     """The solution vector of an antisymmetric bracket, read pair by pair
     through Bracket.stored_pairs and the element wrappers."""
-    rank, vector = system.interval_rank, {}
+    rank, vector = system.poset.basis_products().rank, {}
     for i, j in bracket.stored_pairs():
         for k, c in bracket.value(i, j).coeffs.items():
             vector[system.column(rank[i], rank[j], rank[k])[0]] = c.value
@@ -293,9 +294,9 @@ def bracket_to_vector(system, bracket: Bracket) -> dict[int, object]:
 
 
 def satisfied_by(system: LinearSystem, vector: dict[int, object]) -> bool:
-    """LinearSystem.satisfied_by by a scan of every live column: the vector
-    is zero off the live columns and on the dead classes, and x_c = s x_root
-    on every column c of a live class."""
+    """True iff the vector solves the system, by a scan of every live
+    column: it is zero off the live columns and on the dead classes, and
+    x_c = s x_root on every column c of a live class."""
     red, live, dead, find = system.ring.reduce, system.live, system.dead, system.find
     if any(red(v) for col, v in vector.items() if col not in live):
         return False

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import poisset.bracket
 import reference_bracket
+from reference_bracket import ranked, raw_table
 from conftest import (
     CORPUS,
     antichain,
@@ -25,6 +26,7 @@ from conftest import (
     fence3,
     posets,
     random_sigma,
+    ring_elements,
 )
 from poisset import (
     INTEGERS,
@@ -270,8 +272,8 @@ class TestBracketTable:
         # a diagonal or reversed key would be overwritten by its own mirror
         i, j = (Interval(*k) for k in key)
         with pytest.raises(InvalidPair):
-            Bracket(CROWN, Q, {(i, j): {Interval("1", "3"): 1}}, antisymmetric_mode=True)
-        raw = Bracket(CROWN, Q, {(i, j): {Interval("1", "3"): 1}}, antisymmetric_mode=False)
+            Bracket(CROWN, Q, ranked(CROWN, {(i, j): {Interval("1", "3"): 1}}), antisymmetric_mode=True)
+        raw = Bracket(CROWN, Q, ranked(CROWN, {(i, j): {Interval("1", "3"): 1}}), antisymmetric_mode=False)
         assert raw.value(i, j) == el(CROWN, {("1", "3"): 1})
 
     def test_nonzero_diagonal_rejected(self):
@@ -331,6 +333,7 @@ class TestBracketTable:
         )
         assert raw.value(e11, e13) == el(CROWN, {("1", "3"): 1})
         assert raw.value(e13, e11).is_zero()  # no derived mirror
+        assert raw.value(Interval("3", "1"), e11).is_zero()  # no interval, no entry
 
     def test_raw_vs_antisymmetric_equality_compares_full_tables(self):
         one_sided = crown_table(1, 2, 3, 4)
@@ -499,7 +502,7 @@ class TestFromSigma:
             sigmas += [SigmaMap(poset, ring, dict.fromkeys(cls, 1)) for cls in poset.chain_components()]
             for sigma in sigmas:
                 got, want = from_sigma(sigma), reference_bracket.from_sigma(sigma)
-                assert got._full == want._full
+                assert raw_table(got) == raw_table(want)
                 assert got.to_json() == want.to_json()
                 assert got.stored_pairs() == want.stored_pairs()
                 assert got._key() == want._key()
@@ -919,7 +922,7 @@ def corrupted_sigma_tables(draw, rings=RINGS):
     ring = draw(st.sampled_from(rings))
     bracket = from_sigma(random_sigma(poset, ring, random.Random(draw(st.integers(0, 999)))))
     antisymmetric = draw(st.booleans())
-    pairs = bracket.stored_pairs() if antisymmetric else bracket._full
+    pairs = bracket.stored_pairs() if antisymmetric else raw_table(bracket)
     table = {p: bracket.value(*p) for p in pairs}
     if table:
         pair = draw(st.sampled_from(list(table)))
@@ -955,7 +958,7 @@ class TestAgainstReference:
             values.update(dict.fromkeys(cls, value))
         bracket = from_sigma(SigmaMap(poset, Q, values))
         assert_same_reports(bracket)
-        table = {p: bracket.value(*p) for p in bracket._full}
+        table = {p: bracket.value(*p) for p in raw_table(bracket)}
         ivs = poset.intervals()
         pair = (rng.choice(ivs), rng.choice(ivs))
         table[pair] = table.get(pair, IncidenceElement.zero(poset, Q)) + el(
@@ -996,6 +999,64 @@ class TestAgainstReference:
             )
             assert_same_reports(bracket)
             assert check_jacobi(bracket).ok is ok
+
+
+class TestCanonicalTable:
+    """The constructor reduces every raw value and drops zero values and the
+    pairs they leave empty, so a table that spells a bracket differently is
+    the same bracket, with the same values, JSON and verdicts."""
+
+    E11, E13 = Interval("1", "1"), Interval("1", "3")
+
+    @pytest.mark.parametrize("antisymmetric", [False, True], ids=["raw", "antisymmetric"])
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_stored_zero_is_no_entry(self, ring, antisymmetric):
+        table = ranked(CROWN, {(self.E11, self.E13): {self.E13: 0}})
+        bracket = Bracket(CROWN, ring, table, antisymmetric_mode=antisymmetric)
+        empty = Bracket.from_basis_table(CROWN, ring, {}, antisymmetric=antisymmetric)
+        assert not bracket.value(self.E11, self.E13).coeffs
+        assert bracket.to_json() == {"pairs": []} and bracket.stored_pairs() == []
+        assert check_antisymmetric(bracket).to_json() == check_antisymmetric(empty).to_json()
+        assert bracket == empty and hash(bracket) == hash(empty)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_unreduced_value_is_reduced(self, ring):
+        # 2 + m over Z/m, and an int over Q, where the raw value is a Fraction
+        raw = 2 + (ring.modulus or 0)
+        bracket = Bracket(CROWN, ring, ranked(CROWN, {(self.E11, self.E13): {self.E13: raw}}), False)
+        want = Bracket.from_basis_table(
+            CROWN, ring, {(self.E11, self.E13): el(CROWN, {("1", "3"): 2}, ring)}, antisymmetric=False
+        )
+        got = bracket.value(self.E11, self.E13).coeff("1", "3").value
+        assert (type(got), got) == (type(ring.scalar(2).value), 2)
+        assert bracket.to_json() == want.to_json()
+        assert bracket == want and hash(bracket) == hash(want)
+
+
+# -- Bracket.evaluate against the sum of its values -----------------------------
+
+EVALUATE_RINGS = [Q, INTEGERS, integers_mod(4), integers_mod(7)]
+
+
+class TestEvaluateAgainstReference:
+    """evaluate sums on the scaled ints of its arguments and of the table;
+    the reference sums f(i) g(j) B(e_i, e_j) through Bracket.value and
+    element arithmetic.  Over Q the arguments have denominators 1 to 6."""
+
+    @pytest.mark.parametrize("kind", ["raw", "antisymmetric"])
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_same_element_as_the_sum_of_values(self, kind, data):
+        tables = raw_tables if kind == "raw" else antisymmetric_tables
+        bracket = data.draw(tables(EVALUATE_RINGS))
+        f = data.draw(ring_elements(bracket.poset, bracket.ring))
+        g = data.draw(ring_elements(bracket.poset, bracket.ring))
+        got = bracket.evaluate(f, g)
+        want = reference_bracket.evaluate(bracket, f, g)
+        assert got == want
+        assert [(iv, type(c.value)) for iv, c in sorted(got.coeffs.items())] == [
+            (iv, type(c.value)) for iv, c in sorted(want.coeffs.items())
+        ]
 
 
 # -- the output-sensitive lemma suite against the exhaustive one ---------------
@@ -1113,7 +1174,7 @@ class TestLemmaSuiteAgainstReference:
         rng = random.Random(11)
         bracket = from_sigma(random_sigma(poset, ring, rng))
         # the same table with one coefficient changed, in raw storage
-        corrupted = {p: bracket.value(*p) for p in bracket._full}
+        corrupted = {p: bracket.value(*p) for p in raw_table(bracket)}
         ivs = poset.intervals()
         pair = (rng.choice(ivs), rng.choice(ivs))
         corrupted[pair] = corrupted.get(pair, IncidenceElement.zero(poset, ring)) + el(
@@ -1187,7 +1248,7 @@ def bench_corrupted_tables(draw, rings=RINGS):
     interval i = [x, y] is strict, as the bench's corrupted tables do."""
     bracket = draw(sigma_tables(rings))
     poset, ring = bracket.poset, bracket.ring
-    table = {p: bracket.value(*p) for p in bracket._full}
+    table = {p: bracket.value(*p) for p in raw_table(bracket)}
     strict = [p for p in table if p[0].lo != p[0].hi]
     if strict:
         pair = draw(st.sampled_from(strict))
@@ -1273,7 +1334,7 @@ class TestRawSigmaRead:
             (e["2", "2"], e["2", "2"]): {e["2", "3"]: 1},
             (e["2", "2"], e["2", "3"]): {e["1", "3"]: 1},
         }
-        bracket = Bracket(CROWN, ring, table, antisymmetric_mode=False)
+        bracket = Bracket(CROWN, ring, ranked(CROWN, table), antisymmetric_mode=False)
         got = extract_sigma(bracket, check=False)
         assert raw_sigma(got) == raw_sigma(reference_bracket.extract_sigma(bracket, check=False))
         assert got.value("1", "4").value == 3 and got.value("2", "3").is_zero()
