@@ -618,7 +618,7 @@ def extract_lambda(
     """
     if check:
         _require_biderivation(bracket)
-    P, one = bracket.poset, bracket.ring.one
+    P, R, table = bracket.poset, bracket.ring, bracket._table
     ivs = P.intervals()
     # (a, b, t, sign) with [e_a, e_b] = sign e_t, both orientations, sorted
     # into canonical order; for a != b, e_a e_b = e_t forces e_b e_a = 0
@@ -626,15 +626,17 @@ def extract_lambda(
     for (a, b), t in P.basis_products().product.items():
         if a != b:
             commutators += (a, b, t, 1), (b, a, t, -1)
-    out: dict[tuple[Interval, Interval], Scalar] = {}
+    # [e_a, e_b] = +-e_t, so the ratio is +-B(e_a, e_b)(t), read off the
+    # stored ints and unscaled once per pair
+    ratios: dict[tuple[Interval, Interval], int] = {}
     for a, b, t, sign in sorted(commutators):
-        # [e_i, e_j] = +-e_target, so the ratio needs no division
-        i, j, target = ivs[a], ivs[b], ivs[t]
-        value = bracket.value(i, j)
-        if any(iv != target for iv in value.coeffs):
+        coeffs = table.get((a, b), {})
+        if any(k != t for k in coeffs):
+            i, j = ivs[a], ivs[b]
             raise NotProportional(f"B(e_{i}, e_{j}) has support outside [e_{i}, e_{j}]")
-        out[(i, j)] = value.coeff(*target) * (one if sign > 0 else -one)
-    return out
+        ratios[ivs[a], ivs[b]] = sign * coeffs.get(t, 0)
+    values, zero = R.unscale(ratios, bracket._scale), R.zero
+    return {pair: Scalar(R, values[pair]) if pair in values else zero for pair in ratios}
 
 
 def is_standard(bracket: Bracket, check: bool = True) -> IncidenceElement | None:

@@ -6,12 +6,17 @@ The reflexive-transitive closure is computed on construction, as one
 integer bitmask per element holding its up-set (and one its down-set);
 redundant covers are removed, so the stored Hasse relation is always the
 transitive reduction.  Element order is the input order; intervals are
-ordered lexicographically by (lo index, hi index).  Posets are immutable.
+ordered lexicographically by (lo index, hi index) and listed on
+construction.  The map from an interval to its rank and the basis
+multiplication table are built on first use, by interval_index or
+basis_products.  Chain components are found from the covers alone, each
+strict pair placed by the covers at its bottom.  Posets are immutable.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import CycleDetected, DuplicateLabel, UnknownLabel
@@ -39,9 +44,7 @@ class PairPartition:
     """
 
     def __init__(self, classes: Iterable[Iterable[StrictPair]]):
-        self.classes: tuple[tuple[StrictPair, ...], ...] = tuple(
-            tuple(cls) for cls in classes
-        )
+        self.classes: tuple[tuple[StrictPair, ...], ...] = tuple(map(tuple, classes))
         self._class_of = {
             pair: idx for idx, cls in enumerate(self.classes) for pair in cls
         }
@@ -96,7 +99,8 @@ class _UnionFind:
     def union(self, i: int, j: int):
         ri, rj = self.find(i), self.find(j)
         if ri != rj:
-            # attach the larger root under the smaller for deterministic reps
+            # attach the larger root under the smaller for deterministic
+            # reps; so no parent has a larger index than its child
             if ri < rj:
                 self.parent[rj] = ri
             else:
@@ -209,7 +213,7 @@ class Poset:
             tops = map(elements.__getitem__, _bits(up[i]))
             intervals += map(tuple.__new__, repeat(Interval), zip(repeat(elements[i]), tops))
         self._intervals = tuple(intervals)
-        self._interval_index = dict(zip(intervals, range(len(intervals))))
+        self._interval_index: dict[Interval, int] | None = None
         self._products: BasisProducts | None = None
 
     # -- basic queries -------------------------------------------------------
@@ -250,7 +254,24 @@ class Poset:
         return self._intervals
 
     def interval_index(self, iv: Interval) -> int:
-        return self._interval_index[iv]
+        """The rank of iv in intervals(); KeyError when iv is no interval.
+
+        The first call builds the map from interval to rank (see _rank),
+        after which interval_index is that dict's own lookup: a call costs
+        one dict lookup and no Python-level call.
+        """
+        return self._rank()[iv]
+
+    def _rank(self) -> dict[Interval, int]:
+        """The map from interval to rank, built on first use and cached."""
+        if self._interval_index is None:
+            ivs = self._intervals
+            self._interval_index = rank = dict(zip(ivs, range(len(ivs))))
+            # a plain attribute shadowing the method; functools.cached_property
+            # would write through the instance __dict__, which makes every
+            # attribute read of this poset slower on CPython 3.11
+            self.interval_index = rank.__getitem__
+        return self._interval_index
 
     def basis_products(self) -> BasisProducts:
         """The basis multiplication table, built on first use and cached.
@@ -259,7 +280,7 @@ class Poset:
         build is O(number of nonzero products), not O(intervals^2).
         """
         if self._products is None:
-            intervals, rank = self._intervals, self._interval_index
+            intervals, rank = self._intervals, self._rank()
             starting: dict[str, list[int]] = {x: [] for x in self._elements}
             for r, (lo, _) in enumerate(intervals):
                 starting[lo].append(r)
@@ -338,32 +359,98 @@ class Poset:
         chain contains both pairs; the classes are the transitive closure
         of that relation.
 
-        The union-find below merges each strict pair (x, y) with every
-        cover (x, w) with w <= y, and each cover (a, b) with every cover
-        (b, c) above it, which is O(pairs * max degree).  Each merge joins
-        two pairs on the chain x < w <= y or a < b < c, so it is an
-        instance of the rule above.  Conversely, if two pairs lie on one
-        chain, that chain extends to a saturated chain x0 < x1 < ... < xm
-        of covers.  Every pair (xi, xj) on it is merged with its bottom
-        cover (xi, xi+1), and the covers (xi, xi+1), (xi+1, xi+2) are
-        merged one after the next, so the whole chain is one class.
+        The union-find below runs over the covers alone.  It joins each
+        cover (a, b) with every cover (b, c), and two covers (x, w1),
+        (x, w2) when some y lies above both, i.e. up[w1] & up[w2] != 0.
+        Each strict pair (x, y) then goes to the class of the covers
+        (x, w) with w <= y: there is one, as x < y, and any two of them
+        are joined, as y lies above both.  Each join and each placement
+        puts together two pairs on one chain (a < b < c, or x < w <= y),
+        or two pairs that share a chain with (x, y), so it follows from
+        the rule above.  Conversely, if two pairs lie on one chain, that
+        chain extends to a saturated chain x0 < x1 < ... < xm of covers.
+        Every pair (xi, xj) on it goes to the class of its bottom cover
+        (xi, xi+1), and the covers (xi, xi+1), (xi+1, xi+2) are joined one
+        after the next, so the whole chain is one class.
+
+        A cover (a, x) below x joins every cover (x, w) to it, so the
+        first join is made as a star at each x, O(covers).  The second
+        matters only at an x with no cover below.  There each group of
+        joined covers keeps the union of their up-sets; the unions stay
+        disjoint, as a cover whose up-set meets some of them merges those
+        groups, so each pair (x, y) is placed by the one union holding y.
+        That costs O(covers * max degree) and then one step per pair.
         """
-        pairs = self.strict_pairs()
-        up, hasse, index = self._up, self._hasse, self._index
-        slot = {(index[lo], index[hi]): k for k, (lo, hi) in enumerate(pairs)}
-        uf = _UnionFind(len(pairs))
-        for (x, y), k in slot.items():
-            for w in hasse[x]:
-                if up[w] >> y & 1:
-                    uf.union(k, slot[x, w])
-        for a, targets in enumerate(hasse):
-            for b in targets:
-                for c in hasse[b]:
-                    uf.union(slot[a, b], slot[b, c])
-        groups: dict[int, list[StrictPair]] = {}
-        for k, pair in enumerate(pairs):
-            groups.setdefault(uf.find(k), []).append(pair)
-        return PairPartition(members for _, members in sorted(groups.items()))
+        up, down, hasse, labels = self._up, self._down, self._hasse, self._elements
+        # the covers (x, w) get ids first[x], first[x] + 1, ... in order
+        first = list(accumulate(map(len, hasse), initial=0))
+        n_covers = first[-1]
+        uf = _UnionFind(n_covers)
+        union = uf.union
+        # (x, [(a cover id, the union of the group's up-sets), ...]) for
+        # each x with a cover above it
+        rows: list[tuple[int, Iterable[tuple[int, int]]]] = []
+        for x, targets in enumerate(hasse):
+            if not targets:
+                continue
+            k0 = first[x]
+            for k, w in enumerate(targets, k0):
+                if hasse[w]:
+                    union(k, first[w])
+            if down[x] != 1 << x:
+                for k in range(k0 + 1, k0 + len(targets)):
+                    union(k0, k)
+                rows.append((x, ((k0, up[x] ^ 1 << x),)))
+                continue
+            found: list[tuple[int, int]] = []
+            taken = 0
+            for k, w in enumerate(targets, k0):
+                mask = up[w]
+                if mask & taken:
+                    kept = []
+                    for rep, joined in found:
+                        if joined & mask:
+                            union(rep, k)
+                            mask |= joined
+                        else:
+                            kept.append((rep, joined))
+                    found = kept
+                taken |= mask
+                found.append((k, mask))
+            rows.append((x, found))
+        # a parent never has a larger id than its child, so one ascending
+        # pass points every cover at its root
+        root = uf.parent
+        for k in range(n_covers):
+            root[k] = root[root[k]]
+        # the pairs by x, each group's by ascending y; a class is opened at
+        # its first member, so sorting on that member orders the classes
+        opened: list[tuple[int, int, list[StrictPair]]] = []
+        class_of: list[list[StrictPair] | None] = [None] * n_covers
+        for x, found in rows:
+            if len(found) > 1:
+                masks: dict[int, int] = {}
+                for rep, joined in found:
+                    masks[root[rep]] = masks.get(root[rep], 0) | joined
+                found = masks.items()
+            lo = labels[x]
+            for rep, mask in found:
+                # one pair, the rule on fences, skips the map pipeline
+                if mask.bit_count() > 1:
+                    ys = _bits(mask)
+                    his = map(labels.__getitem__, ys)
+                    pairs = map(tuple.__new__, repeat(StrictPair), zip(repeat(lo), his))
+                    y = ys[0]
+                else:
+                    y = mask.bit_length() - 1
+                    pairs = (tuple.__new__(StrictPair, (lo, labels[y])),)
+                members = class_of[root[rep]]
+                if members is None:
+                    members = class_of[root[rep]] = []
+                    opened.append((x, y, members))
+                members += pairs
+        opened.sort()
+        return PairPartition(map(itemgetter(2), opened))
 
     def maximal_chain_overlap(self) -> bool:
         """True iff every two distinct maximal chains share >= 2 elements."""

@@ -50,6 +50,15 @@ def fence(n: int) -> Poset:
     return Poset(labels, covers)
 
 
+def broom(spokes: int, handle: int) -> Poset:
+    """A bottom "0" under the incomparable s1..s<spokes>, with s1 under the
+    chain h1 < ... < h<handle>: spokes + handle covers, spokes classes."""
+    tips = [f"s{i}" for i in range(1, spokes + 1)]
+    chain = [f"h{i}" for i in range(1, handle + 1)]
+    covers = [("0", tip) for tip in tips] + list(zip(tips[:1] + chain, chain))
+    return Poset(["0", *tips, *chain], covers)
+
+
 def boolean_lattice(n: int) -> Poset:
     """Subsets of {1..n} under inclusion; labels are digit strings, "0" empty."""
 

@@ -13,8 +13,9 @@ B(e_i, e_j) by interval, as raw ring values, from `stored_pairs` and
 element arithmetic; `ranked` turns an interval-keyed raw table into the
 rank-keyed one that the `Bracket` constructor takes.  `require_biderivation`,
 the gate of every check=True entry point and of `lemma_suite(strict=True)`,
-runs both exhaustive checks, and `extract_sigma` reads sigma through
-`Bracket.value` and `IncidenceElement.coeff`.  The product helpers are
+runs both exhaustive checks, and `extract_sigma` reads sigma and
+`extract_lambda` each proportionality scalar through `Bracket.value` and
+`IncidenceElement.coeff`.  The product helpers are
 copied here so that the reference shares no enumeration code with the
 module it checks; `_basis_products`, the n^2 scan over all interval
 pairs, is also the reference that `tests/test_poset.py` checks
@@ -38,7 +39,7 @@ from poisset import (
     SigmaMap,
     random_element,
 )
-from poisset.errors import NotABiderivation, NotChainConstant
+from poisset.errors import NotABiderivation, NotChainConstant, NotProportional
 
 
 def _basis_products(poset):
@@ -271,6 +272,28 @@ def extract_sigma(bracket, check: bool = True) -> SigmaMap:
         val = bracket.value(Interval(lo, lo), Interval(lo, hi))
         values[(lo, hi)] = val.coeff(lo, hi)
     return SigmaMap(P, R, values)
+
+
+def extract_lambda(bracket, check: bool = True) -> dict:
+    """lambda(i, j) = B(e_i, e_j)(t) / [e_i, e_j](t) on the pairs with
+    [e_i, e_j] = +-e_t nonzero, read through the element wrappers, in
+    canonical pair order; NotProportional at the first pair in that order
+    whose value has support outside t."""
+    if check:
+        require_biderivation(bracket)
+    P, one = bracket.poset, bracket.ring.one
+    rank = {iv: k for k, iv in enumerate(P.intervals())}
+    commutators = []
+    for (i, j), t in _basis_products(P).items():
+        if i != j:
+            commutators += (i, j, t, one), (j, i, t, -one)
+    out = {}
+    for i, j, t, sign in sorted(commutators, key=lambda c: (rank[c[0]], rank[c[1]])):
+        value = bracket.value(i, j)
+        if any(iv != t for iv in value.coeffs):
+            raise NotProportional(f"B(e_{i}, e_{j}) has support outside [e_{i}, e_{j}]")
+        out[(i, j)] = value.coeff(*t) * sign
+    return out
 
 
 def is_standard(bracket, check: bool = True):

@@ -23,8 +23,9 @@ Run with -v to get one pass/fail line per criterion:
     solver dimension 1
   * algebra core: associativity, identity, and the basis multiplication
     table, exhaustive, < 30 s
-  * chain components of the 300-chain and of the boolean lattice on 7
-    atoms, < 5 s each; `poisset components` on the 300-chain gives one class
+  * chain components of the 300- and 600-chains, of the boolean lattice
+    on 7 atoms and of a 3,000-cover broom, < 5 s each; `poisset
+    components` on the 300-chain gives one class
   * the maximal chains of the boolean lattice on 8 atoms overlap, < 1 s
   * the Leibniz and Jacobi checks of a dense-sigma 20-chain bracket
     (9,261,000 basis triples) pass, < 6 s each
@@ -44,7 +45,7 @@ import time
 
 import pytest
 
-from conftest import CORPUS, boolean_lattice, fence, random_sigma
+from conftest import CORPUS, boolean_lattice, broom, fence, random_sigma
 from test_bracket import assert_lambda_relations, crown_table
 
 from poisset import (
@@ -274,14 +275,22 @@ def test_algebra_core():
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: make_chain(300), lambda: boolean_lattice(7)], ids=["chain300", "bool7"]
+    "build,classes",
+    [
+        pytest.param(lambda: make_chain(300), 1, id="chain300"),
+        pytest.param(lambda: boolean_lattice(7), 1, id="bool7"),
+        pytest.param(lambda: make_chain(600), 1, id="chain600"),
+        # 3,000 covers: 2,950 under the bottom, each its own class but the
+        # first, and the 50 of the handle
+        pytest.param(lambda: broom(2950, 50), 2950, id="broom3000"),
+    ],
 )
-def test_chain_components_scale(build):
+def test_chain_components_scale(build, classes):
     poset = build()
     started = time.perf_counter()
     partition = poset.chain_components()
     assert time.perf_counter() - started < 5.0
-    assert len(partition) == 1
+    assert len(partition) == classes
     assert sum(map(len, partition.classes)) == len(poset.strict_pairs())
 
 

@@ -1338,3 +1338,46 @@ class TestRawSigmaRead:
         got = extract_sigma(bracket, check=False)
         assert raw_sigma(got) == raw_sigma(reference_bracket.extract_sigma(bracket, check=False))
         assert got.value("1", "4").value == 3 and got.value("2", "3").is_zero()
+
+
+def lambda_outcome(extract, bracket):
+    """The ratios extract reads, each with the type of its raw ring value,
+    or the message of the NotProportional it raises."""
+    try:
+        lam = extract(bracket, check=False)
+    except NotProportional as exc:
+        return str(exc)
+    return [(pair, v.ring, type(v.value), v.value) for pair, v in lam.items()]
+
+
+class TestRawLambdaRead:
+    """extract_lambda reads each ratio off the stored table; the reference
+    reads it through Bracket.value and IncidenceElement.coeff."""
+
+    @pytest.mark.parametrize("kind", list(TABLE_KINDS))
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_same_ratios_as_the_wrapped_read(self, kind, data):
+        bracket = data.draw(TABLE_KINDS[kind])
+        got = lambda_outcome(extract_lambda, bracket)
+        assert got == lambda_outcome(reference_bracket.extract_lambda, bracket)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_each_outcome_comes_up(self, ring):
+        # a sigma table, a raw table with a stored ratio and an unstored
+        # one, and a raw table with a term outside its commutator
+        sigma = SigmaMap(CROWN, ring, dict(zip(CROWN.strict_pairs(), (1, 2, 0, 3))))
+        e = {iv: Interval(*iv) for iv in CROWN.intervals()}
+        zero_ratio = {(e["1", "1"], e["1", "3"]): {e["1", "3"]: 3}}
+        off_target = {(e["1", "1"], e["1", "3"]): {e["1", "3"]: 3, e["2", "4"]: 1}}
+        brackets = [from_sigma(sigma)] + [
+            Bracket(CROWN, ring, ranked(CROWN, table), antisymmetric_mode=False)
+            for table in (zero_ratio, off_target)
+        ]
+        outcomes = [lambda_outcome(extract_lambda, bracket) for bracket in brackets]
+        for bracket, got in zip(brackets, outcomes):
+            assert got == lambda_outcome(reference_bracket.extract_lambda, bracket)
+        assert isinstance(outcomes[2], str)
+        ratios = {pair: value for pair, _, _, value in outcomes[1]}
+        assert ratios[e["1", "1"], e["1", "3"]] == 3
+        assert ratios[e["1", "3"], e["1", "1"]] == 0

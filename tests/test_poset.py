@@ -13,9 +13,11 @@ from hypothesis import given, strategies as st
 from conftest import (
     antichain,
     boolean_lattice,
+    broom,
     corpus_params,
     crown_plus_chain3,
     diamond,
+    fence,
     fence3,
     posets,
 )
@@ -406,6 +408,31 @@ class TestAgainstReference:
         [
             pytest.param(make_chain(12), id="chain12"),
             pytest.param(boolean_lattice(4), id="bool4"),
+            pytest.param(boolean_lattice(6), id="bool6"),
+            pytest.param(fence(200), id="fence200"),
+            # one spoke class per tip, next to the 1,275 pairs of the handle
+            pytest.param(broom(300, 50), id="broom300"),
+            # element order the reverse of the order: no linear extension
+            pytest.param(
+                Poset([str(i) for i in range(40, 0, -1)], make_chain(40).covers),
+                id="chain40-top-down",
+            ),
+            # at x the class of (x, w2) holds (x, z), which comes before
+            # (x, w1) although w2 comes after w1
+            pytest.param(
+                Poset(["x", "z", "w1", "w2"], [("x", "w1"), ("x", "w2"), ("w2", "z")]),
+                id="classes-out-of-cover-order",
+            ),
+            # (x, w1) and (x, w2) have no upper bound in common, yet one
+            # class through b; its pairs at x interleave the two up-sets
+            pytest.param(
+                Poset(
+                    ["x", "u", "b", "w1", "w2", "c1", "c2"],
+                    [("x", "w1"), ("x", "w2"), ("w1", "c1"), ("w2", "c2")]
+                    + [("b", "w1"), ("b", "w2"), ("u", "b")],
+                ),
+                id="one-class-apart-at-x",
+            ),
             *corpus_params(),  # fence3 and crown+chain3 among them
         ],
     )
@@ -467,6 +494,19 @@ class TestBasisProducts:
         p = boolean_lattice(3)
         assert p._products is None
         assert p.basis_products() is p._products
+
+    def test_rank_index_built_on_first_use(self):
+        p = boolean_lattice(3)
+        p.intervals(), p.strict_pairs(), p.chain_components()
+        p.connected_components(), p.heights(), p.maximal_chains()
+        assert p._interval_index is None
+        with pytest.raises(KeyError):
+            p.interval_index(Interval("1", "0"))
+        # after the first call, interval_index is the rank dict's own lookup
+        assert p.interval_index == p._interval_index.__getitem__
+        with pytest.raises(KeyError):
+            p.interval_index(Interval("1", "2"))
+        assert p.interval_index(Interval("0", "123")) == 7
 
     @given(p=posets(max_size=7))
     def test_equal_posets_give_equal_tables(self, p):
