@@ -199,7 +199,7 @@ class IncidenceElement:
         """
         for lo, hi in self.poset.intervals():
             e = IncidenceElement.basis(self.poset, self.ring, lo, hi)
-            if not (self * e - e * self).is_zero():
+            if self.commutator(e):
                 return False
         return True
 
@@ -249,18 +249,27 @@ class IncidenceElement:
             raise ValueError("element JSON must be an object")
         if ring is None:
             ring = RingSpec.from_json(data["ring"])
-        coeffs: dict[Interval, Scalar] = {}
-        for entry in data["entries"]:
-            lo, hi = entry["lo"], entry["hi"]
+        ivs = poset.intervals()
+        values = _parse_entries(poset, ring, data["entries"])
+        return IncidenceElement.zero(poset, ring)._wrap({ivs[k]: v for k, v in values.items()})
+
+
+def _parse_entries(poset: Poset, ring: RingSpec, entries) -> dict[int, object]:
+    """The canonical nonzero raw values of JSON entries {"lo", "hi", "coeff"}
+    by interval rank; each interval is checked once: its labels, lo <= hi,
+    no second entry for it, its scalar text."""
+    rank, values = poset._rank(), {}
+    for entry in entries:
+        lo, hi = entry["lo"], entry["hi"]
+        k = rank.get((lo, hi))  # a plain tuple finds its Interval key
+        if k is None:
             if lo not in poset or hi not in poset:
                 raise UnknownLabel(f"{lo!r} or {hi!r} is not an element of the poset")
-            if not poset.leq(lo, hi):
-                raise NotComparable(f"{lo!r} <= {hi!r} does not hold")
-            iv = Interval(lo, hi)
-            if iv in coeffs:
-                raise InvalidPair(f"duplicate entry for ({lo!r}, {hi!r})")
-            coeffs[iv] = parse_scalar(ring, entry["coeff"])
-        return IncidenceElement(poset, ring, coeffs)
+            raise NotComparable(f"{lo!r} <= {hi!r} does not hold")
+        if k in values:
+            raise InvalidPair(f"duplicate entry for ({lo!r}, {hi!r})")
+        values[k] = parse_scalar(ring, entry["coeff"]).value
+    return {k: v for k, v in values.items() if v}
 
 
 def _convolve(rows: dict[str, dict], f: dict, g: dict, sign: int) -> dict[str, dict]:

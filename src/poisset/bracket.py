@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping
 
-from .algebra import IncidenceElement, random_element
+from .algebra import IncidenceElement, _parse_entries, random_element
 from .coeff import Echelon, RingSpec, Scalar, format_scalar, parse_scalar
 from .errors import (
     InconsistentAntisymmetry,
@@ -184,11 +184,12 @@ class Bracket:
     extract_sigma and extract_lambda give intervals and raw ring values.
     The constructor takes raw ring values by interval rank and is the one
     place that mirrors, scales and canonicalises them: values reduced, zero
-    values and empty pairs dropped.  In antisymmetric mode the caller gives
-    only the pairs with i < j (any other key raises InvalidPair) and the
-    constructor adds the mirrors B(e_j, e_i) = -B(e_i, e_j); the diagonal
-    is zero.  In raw mode every pair is kept, so that the checks can report
-    the violations of unvalidated input.  Callers must not mutate the table.
+    values and empty pairs dropped.  In antisymmetric mode it reads a key
+    (j, i) as -B(e_i, e_j) and adds every mirror; a nonzero diagonal value,
+    or two given orientations that are not negatives, raise
+    InconsistentAntisymmetry.  In raw mode every pair is kept, so that the
+    checks can report the violations of unvalidated input.  Callers must
+    not mutate the table.
     """
 
     __slots__ = ("poset", "ring", "antisymmetric_mode", "_zero", "_scale", "_table")
@@ -207,69 +208,51 @@ class Bracket:
         self._scale = s = ring.scale(table.values())
         reduce = ring.reduce
         full: dict[tuple[int, int], dict[int, int]] = {}
+        mirrored = []  # keys (i, j), i >= j, whose mirror (j, i) is given: a diagonal's is itself
         for (i, j), values in table.items():
-            if antisymmetric_mode and i >= j:
-                ivs = poset.intervals()
-                raise InvalidPair(
-                    f"antisymmetric storage needs i before j, got ({ivs[i]}, {ivs[j]})"
-                )
             scaled = {
                 k: r for k, v in values.items() if (r := reduce(v.numerator * (s // v.denominator)))
             }
-            if scaled:
+            if antisymmetric_mode and i >= j and (j, i) in table:
+                mirrored.append((i, j, scaled))
+            elif scaled:
                 full[i, j] = scaled
                 if antisymmetric_mode:
                     full[j, i] = {k: reduce(-v) for k, v in scaled.items()}
+        # each must equal the mirror that (j, i) stored; none is stored for a diagonal key
+        for i, j, scaled in mirrored:
+            if full.get((i, j), {}) != scaled:
+                ivs = poset.intervals()
+                if i == j:
+                    raise InconsistentAntisymmetry(
+                        f"B(e_{ivs[i]}, e_{ivs[i]}) must vanish, got {self._element(scaled)!r}"
+                    )
+                raise InconsistentAntisymmetry(
+                    f"B{(ivs[j], ivs[i])} and its mirror disagree with antisymmetry"
+                )
         self._table = full
 
     @staticmethod
     def from_basis_table(
-        poset: Poset,
-        ring: RingSpec,
-        entries: Mapping,
-        antisymmetric: bool = True,
+        poset: Poset, ring: RingSpec, entries: Mapping, antisymmetric: bool = True
     ) -> "Bracket":
         """Build a bracket from a map (pair of intervals) -> element.
 
         Interval keys may be given as Interval values or plain (lo, hi)
-        tuples.  In antisymmetric mode, diagonal entries must be zero and
-        mirrored entries must be each other's negatives.
+        tuples, a pair in either orientation or both; only keys and values
+        are checked here, the constructor folds and checks the orientations.
         """
-
-        def as_interval(key) -> Interval:
-            lo, hi = key
-            if not poset.is_interval(lo, hi):
-                raise InvalidPair(f"({lo!r}, {hi!r}) is not an interval")
-            return Interval(lo, hi)
-
-        # zero values are kept here too, so that a mirror has a value to
-        # be compared with whichever orientation comes first
-        rank = poset.interval_index
+        rank, ivs = poset._rank(), poset.intervals()
         table: dict[tuple[int, int], dict] = {}
-        for (left_key, right_key), value in entries.items():
-            left, right = as_interval(left_key), as_interval(right_key)
+        for (left, right), value in entries.items():
+            a, b = _interval_rank(rank, left), _interval_rank(rank, right)
             if not isinstance(value, IncidenceElement):
-                raise InvalidPair(f"value at ({left}, {right}) is not an element")
+                raise InvalidPair(f"value at ({ivs[a]}, {ivs[b]}) is not an element")
             if value.poset != poset:
-                raise PosetMismatch(f"value at ({left}, {right}) uses another poset")
+                raise PosetMismatch(f"value at ({ivs[a]}, {ivs[b]}) uses another poset")
             if value.ring != ring:
-                raise RingMismatch(f"value at ({left}, {right}) lives in {value.ring}")
-            a, b = rank(left), rank(right)
-            if antisymmetric:
-                if a == b:
-                    if value:
-                        raise InconsistentAntisymmetry(
-                            f"B(e_{left}, e_{left}) must vanish, got {value!r}"
-                        )
-                    continue
-                if a > b:
-                    a, b, left, right, value = b, a, right, left, -value
-            values = {rank(k): c.value for k, c in value.coeffs.items()}
-            if antisymmetric and table.get((a, b), values) != values:
-                raise InconsistentAntisymmetry(
-                    f"B{(left, right)} and its mirror disagree with antisymmetry"
-                )
-            table[a, b] = values
+                raise RingMismatch(f"value at ({ivs[a]}, {ivs[b]}) lives in {value.ring}")
+            table[a, b] = {rank[k]: c.value for k, c in value.coeffs.items()}
         return Bracket(poset, ring, table, antisymmetric)
 
     # -- table access --------------------------------------------------------
@@ -292,7 +275,7 @@ class Bracket:
 
     def stored_pairs(self) -> list[tuple[Interval, Interval]]:
         """The pairs of the table in canonical order; in antisymmetric mode
-        only those with i before j, as they were given."""
+        only those with i before j."""
         ivs, mirrored = self.poset.intervals(), self.antisymmetric_mode
         return [(ivs[i], ivs[j]) for i, j in sorted(self._table) if i < j or not mirrored]
 
@@ -373,18 +356,25 @@ class Bracket:
     ) -> "Bracket":
         if not isinstance(data, dict):
             raise ValueError("bracket JSON must be an object")
-        entries = {}
+        rank, table = poset._rank(), {}
         for pair in data.get("pairs", []):
-            left = (pair["left"]["lo"], pair["left"]["hi"])
-            right = (pair["right"]["lo"], pair["right"]["hi"])
-            el = IncidenceElement.from_json(
-                poset, {"entries": pair["value"]}, ring=ring
-            )
-            key = (left, right)
-            if key in entries:
-                raise InvalidPair(f"duplicate table entry for {key}")
-            entries[key] = el
-        return Bracket.from_basis_table(poset, ring, entries, antisymmetric)
+            left = pair["left"]["lo"], pair["left"]["hi"]
+            right = pair["right"]["lo"], pair["right"]["hi"]
+            values = _parse_entries(poset, ring, pair["value"])
+            ranks = _interval_rank(rank, left), _interval_rank(rank, right)
+            if ranks in table:
+                raise InvalidPair(f"duplicate table entry for {(left, right)}")
+            table[ranks] = values
+        return Bracket(poset, ring, table, antisymmetric)
+
+
+def _interval_rank(rank: dict[Interval, int], key) -> int:
+    """The rank of the interval key = (lo, hi); InvalidPair when it is none."""
+    lo, hi = key
+    r = rank.get((lo, hi))
+    if r is None:
+        raise InvalidPair(f"({lo!r}, {hi!r}) is not an interval")
+    return r
 
 
 # -- verification ------------------------------------------------------------
@@ -574,16 +564,13 @@ def _from_sigma(sigma: SigmaMap, classes: PairPartition) -> Bracket:
     factors, rank = basis.factors, basis.rank
     table: dict[tuple[int, int], dict] = {}
     # [e_a, e_b] = e_t for each product e_a e_b = e_t of a strict target t
-    # in sigma's support (a != b there), stored with a before b; the
-    # constructor reduces -w and adds the mirror
+    # in sigma's support (a != b there, and e_b e_a = 0); the constructor
+    # adds the mirror -e_t
     for pair, scalar in sigma.values.items():
         # a StrictPair finds its Interval key: equal, same hash
         t, w = rank[pair], scalar.value
-        for a, b in factors[t]:
-            if a < b:
-                table[a, b] = {t: w}
-            else:
-                table[b, a] = {t: -w}
+        for ab in factors[t]:
+            table[ab] = {t: w}
     return Bracket(P, R, table, antisymmetric_mode=True)
 
 
@@ -798,9 +785,7 @@ def lemma_suite(
     # the label positions of each interval's ends, the rank of each e_xx
     lo, hi = [pos[x] for x, _ in ivs], [pos[y] for _, y in ivs]
     idem = [rank((x, x)) for x in labels]
-    row: dict[int, list[tuple[int, dict]]] = {}
-    for (i, j), coeffs in table.items():
-        row.setdefault(i, []).append((j, coeffs))
+    row = _lines(table, 0)  # the stored B(e_i, e_j) as row[i] = [(j, coeffs), ...]
     diagonal = [i for i in row if lo[i] == hi[i]]
 
     # orthogonal idempotents bracket to zero

@@ -133,7 +133,8 @@ def _cmd_poset_info(args, poset: Poset):
         "elements": list(poset.elements),
         "covers": [list(c) for c in poset.covers],
         "intervals": len(poset.intervals()),
-        "strict_pairs": len(poset.strict_pairs()),
+        # every element x gives the one non-strict interval (x, x)
+        "strict_pairs": len(poset.intervals()) - len(poset),
         "connected_components": len(poset.connected_components()),
         "chain_components": len(poset.chain_components()),
         "maximal_chains": [list(c) for c in poset.maximal_chains()],

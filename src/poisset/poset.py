@@ -45,9 +45,7 @@ class PairPartition:
 
     def __init__(self, classes: Iterable[Iterable[StrictPair]]):
         self.classes: tuple[tuple[StrictPair, ...], ...] = tuple(map(tuple, classes))
-        self._class_of = {
-            pair: idx for idx, cls in enumerate(self.classes) for pair in cls
-        }
+        self._class_of: dict[StrictPair, int] | None = None
 
     def __len__(self):
         return len(self.classes)
@@ -56,10 +54,13 @@ class PairPartition:
         return iter(self.classes)
 
     def class_index(self, pair: StrictPair) -> int:
+        """The index of pair's class; the map is built on the first call."""
+        if self._class_of is None:
+            self._class_of = {p: idx for idx, cls in enumerate(self.classes) for p in cls}
         return self._class_of[pair]
 
     def same_class(self, a: StrictPair, b: StrictPair) -> bool:
-        return self._class_of[a] == self._class_of[b]
+        return self.class_index(a) == self.class_index(b)
 
     def __repr__(self):
         return f"PairPartition({list(map(list, self.classes))})"

@@ -24,7 +24,12 @@ table, where poisset's walks only the factorisations of sigma's nonzero
 targets.  Sigma is read as a total map, every strict pair through
 `SigmaMap.value`, where poisset walks only its support:
 `is_chain_constant` visits every chain component, and `extract_sigma`
-and `is_standard` every strict pair.
+and `is_standard` every strict pair.  The loaders `element_from_json`,
+`from_basis_table` and `bracket_from_json` build one validated
+`IncidenceElement` per pair, then fold each pair onto i before j
+themselves, negating a reversed one and comparing it with its mirror,
+and give the constructor only keys with i before j; poisset parses each
+interval once and leaves orientations to the constructor.
 """
 
 from __future__ import annotations
@@ -39,7 +44,18 @@ from poisset import (
     SigmaMap,
     random_element,
 )
-from poisset.errors import NotABiderivation, NotChainConstant, NotProportional
+from poisset.coeff import RingSpec, parse_scalar
+from poisset.errors import (
+    InconsistentAntisymmetry,
+    InvalidPair,
+    NotABiderivation,
+    NotChainConstant,
+    NotComparable,
+    NotProportional,
+    PosetMismatch,
+    RingMismatch,
+    UnknownLabel,
+)
 
 
 def _basis_products(poset):
@@ -81,6 +97,83 @@ def ranked(poset, table: dict) -> dict:
         (rank(i), rank(j)): {rank(k): v for k, v in coeffs.items()}
         for (i, j), coeffs in table.items()
     }
+
+
+def element_from_json(poset, data, ring=None) -> IncidenceElement:
+    """IncidenceElement.from_json through the validating constructor."""
+    if not isinstance(data, dict):
+        raise ValueError("element JSON must be an object")
+    if ring is None:
+        ring = RingSpec.from_json(data["ring"])
+    coeffs = {}
+    for entry in data["entries"]:
+        lo, hi = entry["lo"], entry["hi"]
+        if lo not in poset or hi not in poset:
+            raise UnknownLabel(f"{lo!r} or {hi!r} is not an element of the poset")
+        if not poset.leq(lo, hi):
+            raise NotComparable(f"{lo!r} <= {hi!r} does not hold")
+        iv = Interval(lo, hi)
+        if iv in coeffs:
+            raise InvalidPair(f"duplicate entry for ({lo!r}, {hi!r})")
+        coeffs[iv] = parse_scalar(ring, entry["coeff"])
+    return IncidenceElement(poset, ring, coeffs)
+
+
+def from_basis_table(poset, ring, entries, antisymmetric=True) -> Bracket:
+    """Bracket.from_basis_table folding each pair onto i before j here: a
+    reversed pair is negated and compared with its mirror, a diagonal one
+    must vanish."""
+
+    def as_interval(key) -> Interval:
+        lo, hi = key
+        if not poset.is_interval(lo, hi):
+            raise InvalidPair(f"({lo!r}, {hi!r}) is not an interval")
+        return Interval(lo, hi)
+
+    rank = poset.interval_index
+    table = {}
+    for (left_key, right_key), value in entries.items():
+        left, right = as_interval(left_key), as_interval(right_key)
+        if not isinstance(value, IncidenceElement):
+            raise InvalidPair(f"value at ({left}, {right}) is not an element")
+        if value.poset != poset:
+            raise PosetMismatch(f"value at ({left}, {right}) uses another poset")
+        if value.ring != ring:
+            raise RingMismatch(f"value at ({left}, {right}) lives in {value.ring}")
+        a, b = rank(left), rank(right)
+        if antisymmetric:
+            if a == b:
+                if value:
+                    raise InconsistentAntisymmetry(
+                        f"B(e_{left}, e_{left}) must vanish, got {value!r}"
+                    )
+                continue
+            if a > b:
+                a, b, left, right, value = b, a, right, left, -value
+        values = {rank(k): c.value for k, c in value.coeffs.items()}
+        if antisymmetric and table.get((a, b), values) != values:
+            raise InconsistentAntisymmetry(
+                f"B{(left, right)} and its mirror disagree with antisymmetry"
+            )
+        table[a, b] = values
+    return Bracket(poset, ring, table, antisymmetric)
+
+
+def bracket_from_json(poset, ring, data, antisymmetric=True) -> Bracket:
+    """Bracket.from_json as one element_from_json per pair, then
+    from_basis_table."""
+    if not isinstance(data, dict):
+        raise ValueError("bracket JSON must be an object")
+    entries = {}
+    for pair in data.get("pairs", []):
+        left = (pair["left"]["lo"], pair["left"]["hi"])
+        right = (pair["right"]["lo"], pair["right"]["hi"])
+        el = element_from_json(poset, {"entries": pair["value"]}, ring=ring)
+        key = (left, right)
+        if key in entries:
+            raise InvalidPair(f"duplicate table entry for {key}")
+        entries[key] = el
+    return from_basis_table(poset, ring, entries, antisymmetric)
 
 
 def evaluate(bracket, f, g):

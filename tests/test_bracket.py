@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import poisset.bracket
 import reference_bracket
@@ -62,6 +62,7 @@ from poisset.errors import (
     NotAField,
     NotChainConstant,
     NotProportional,
+    PoissetError,
     PosetMismatch,
     RingMismatch,
 )
@@ -267,14 +268,52 @@ class TestBracketTable:
             assert repr(b) == text
         assert raw.to_json() == bracket.to_json()
 
+    E11, E13 = Interval("1", "1"), Interval("1", "3")
+
+    def anti(self, table: dict) -> Bracket:
+        return Bracket(CROWN, Q, ranked(CROWN, table), antisymmetric_mode=True)
+
+    def test_constructor_reads_a_reversed_key_as_the_negated_pair(self):
+        reversed_only = self.anti({(self.E13, self.E11): {self.E13: -1}})
+        assert reversed_only == self.anti({(self.E11, self.E13): {self.E13: 1}})
+        assert reversed_only.stored_pairs() == [(self.E11, self.E13)]
+        assert reversed_only.value(self.E11, self.E13) == el(CROWN, {("1", "3"): 1})
+        assert reversed_only.value(self.E13, self.E11) == el(CROWN, {("1", "3"): -1})
+
+    @pytest.mark.parametrize("forward_first", [True, False])
+    def test_constructor_checks_two_given_orientations(self, forward_first):
+        def table(forward, backward):
+            entries = [((self.E11, self.E13), forward), ((self.E13, self.E11), backward)]
+            return dict(entries if forward_first else entries[::-1])
+
+        one = self.anti({(self.E11, self.E13): {self.E13: 1}})
+        assert self.anti(table({self.E13: 1}, {self.E13: -1})) == one
+        assert self.anti(table({}, {self.E13: 0})) == self.anti({})
+        message = (
+            "B(Interval(lo='1', hi='1'), Interval(lo='1', hi='3')) "
+            "and its mirror disagree with antisymmetry"
+        )
+        for forward, backward in [({self.E13: 1}, {self.E13: 1}), ({}, {self.E13: 1}), ({self.E13: 1}, {})]:
+            with pytest.raises(InconsistentAntisymmetry) as info:
+                self.anti(table(forward, backward))
+            assert str(info.value) == message
+
+    def test_constructor_checks_the_diagonal(self):
+        assert self.anti({(self.E13, self.E13): {self.E13: 0}}) == self.anti({})
+        with pytest.raises(InconsistentAntisymmetry) as info:
+            self.anti({(self.E13, self.E13): {self.E13: Fraction(1, 2)}})
+        assert str(info.value) == (
+            "B(e_Interval(lo='1', hi='3'), e_Interval(lo='1', hi='3')) must vanish, got 1/2*e[1,3]"
+        )
+
     @pytest.mark.parametrize("key", [("13", "13"), ("33", "13")])
-    def test_constructor_takes_only_pairs_with_i_before_j(self, key):
-        # a diagonal or reversed key would be overwritten by its own mirror
+    def test_raw_constructor_keeps_diagonal_and_reversed_keys(self, key):
         i, j = (Interval(*k) for k in key)
-        with pytest.raises(InvalidPair):
-            Bracket(CROWN, Q, ranked(CROWN, {(i, j): {Interval("1", "3"): 1}}), antisymmetric_mode=True)
-        raw = Bracket(CROWN, Q, ranked(CROWN, {(i, j): {Interval("1", "3"): 1}}), antisymmetric_mode=False)
+        raw = Bracket(CROWN, Q, ranked(CROWN, {(i, j): {self.E13: 1}}), antisymmetric_mode=False)
         assert raw.value(i, j) == el(CROWN, {("1", "3"): 1})
+        assert raw.stored_pairs() == [(i, j)]
+        if i != j:
+            assert raw.value(j, i).is_zero()  # no derived mirror
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(InconsistentAntisymmetry):
@@ -1034,6 +1073,169 @@ class TestCanonicalTable:
 
 
 # -- Bracket.evaluate against the sum of its values -----------------------------
+
+# -- the loaders against the reference fold -----------------------------------
+
+LOADER_RINGS = [Q, integers_mod(5), INTEGERS]
+LOADER_POSETS = [CROWN, CHAIN3, diamond(), fence3()]
+# faults the JSON loader and the basis-table loader both meet, then those
+# of one of them; the first three are faults in antisymmetric mode only
+SHARED_FAULTS = ["disagreeing", "zero_against_mirror", "diagonal", "non_interval_key", "unknown_key_label"]
+JSON_FAULTS = ["duplicate_entry", "duplicate_pair", "non_interval_entry", "unknown_entry_label", "bad_scalar"]
+VALUE_FAULTS = ["not_an_element", "foreign_poset", "foreign_ring"]
+LOAD_ERRORS = (PoissetError, ValueError, TypeError, KeyError)
+
+
+def scalar_text(value) -> str:
+    return f"{value.numerator}/{value.denominator}" if isinstance(value, Fraction) else str(value)
+
+
+@st.composite
+def loader_tables(draw, faults):
+    """A bracket table as JSON pairs (left, right, entries) with at most one
+    fault, drawn from faults or none.  The pairs hold zero values and zero
+    entries, pairs given in one orientation (either), both orientations
+    agreeing, and zero diagonals, in random order."""
+    poset, ring = draw(st.sampled_from(LOADER_POSETS)), draw(st.sampled_from(LOADER_RINGS))
+    ivs = poset.intervals()
+    rank = st.integers(0, len(ivs) - 1)
+    if ring is Q:
+        scalars = st.fractions(-3, 3, max_denominator=3)
+    else:
+        scalars = st.integers(-6, 6)
+
+    def entries(values: dict) -> list:
+        return [{"lo": ivs[k].lo, "hi": ivs[k].hi, "coeff": scalar_text(v)} for k, v in values.items()]
+
+    def pair(i, j, values: dict) -> list:
+        return [list(ivs[i]), list(ivs[j]), entries(values)]
+
+    pairs, used = [], set()
+    for i, j in draw(st.lists(st.tuples(rank, rank), max_size=6, unique_by=lambda ij: frozenset(ij))):
+        used.add(frozenset((i, j)))
+        values = draw(st.dictionaries(rank, scalars, max_size=3))
+        if i == j:
+            values = dict.fromkeys(values, 0)
+        pairs.append(pair(i, j, values))
+        if i != j and draw(st.booleans()):
+            pairs.append(pair(j, i, {k: -v for k, v in values.items()}))
+    pairs = draw(st.permutations(pairs))
+
+    fault = draw(st.sampled_from([None, *faults]))
+    free = [(i, j) for i in range(len(ivs)) for j in range(len(ivs)) if i != j and frozenset((i, j)) not in used]
+    i, j = draw(st.sampled_from(free))
+    k = draw(rank)
+    nonzero = draw(scalars.filter(lambda v: ring.reduce(v) != 0))
+    new: list = []
+    if fault == "disagreeing":
+        # the mirror's sign, or its support, is wrong
+        k2 = draw(rank.filter(lambda r: r != k))
+        mirror = draw(st.sampled_from([{k: nonzero}, {k: -nonzero, k2: nonzero}]))
+        new = draw(st.permutations([pair(i, j, {k: nonzero}), pair(j, i, mirror)]))
+    elif fault == "zero_against_mirror":
+        zero = draw(st.sampled_from([{}, {k: 0}]))
+        new = draw(st.permutations([pair(i, j, zero), pair(j, i, {k: nonzero})]))
+    elif fault == "diagonal":
+        diagonals = [r for r in range(len(ivs)) if frozenset((r,)) not in used]
+        assume(diagonals)
+        d = draw(st.sampled_from(diagonals))
+        new = [pair(d, d, {k: nonzero})]
+    elif fault in ("non_interval_key", "unknown_key_label"):
+        lo, hi = draw(st.sampled_from([(x, y) for x in poset.elements for y in poset.elements if not poset.leq(x, y)]))
+        if fault == "unknown_key_label":
+            lo = "zz"
+        bad = pair(i, j, {k: nonzero})
+        bad[draw(st.sampled_from([0, 1]))] = [lo, hi]
+        new = [bad]
+    elif fault == "duplicate_entry":
+        bad = pair(i, j, {k: nonzero})
+        bad[2].append(dict(bad[2][0], coeff=scalar_text(-nonzero)))
+        new = [bad]
+    elif fault == "duplicate_pair":
+        new = [pair(i, j, {k: nonzero}), pair(i, j, draw(st.dictionaries(rank, scalars, max_size=2)))]
+    elif fault in ("non_interval_entry", "unknown_entry_label", "bad_scalar"):
+        bad = pair(i, j, {k: nonzero})
+        hi, lo = draw(st.sampled_from([iv for iv in ivs if iv.lo != iv.hi]))
+        if fault == "non_interval_entry":
+            bad[2].append({"lo": lo, "hi": hi, "coeff": "1"})
+        elif fault == "unknown_entry_label":
+            bad[2].append({"lo": lo, "hi": "zz", "coeff": "1"})
+        else:
+            bad[2][0]["coeff"] = draw(st.sampled_from(["x", "1/0", "1.5", 2]))
+        new = [bad]
+    elif fault in VALUE_FAULTS:
+        new = [pair(i, j, {k: nonzero}) + [fault]]
+    for p in new:
+        pairs.insert(draw(st.integers(0, len(pairs))), p)
+    return poset, ring, pairs
+
+
+def as_json(pairs) -> dict:
+    return {
+        "pairs": [
+            {"left": {"lo": l[0], "hi": l[1]}, "right": {"lo": r[0], "hi": r[1]}, "value": v}
+            for l, r, v, *_ in pairs
+        ]
+    }
+
+
+def as_basis_table(poset, ring, pairs) -> dict:
+    """The JSON pairs as {(left, right): value}, a value fault applied."""
+    entries = {}
+    for left, right, value, *fault in pairs:
+        el = reference_bracket.element_from_json(poset, {"entries": value}, ring)
+        if fault == ["not_an_element"]:
+            el = value
+        elif fault == ["foreign_poset"]:
+            el = IncidenceElement.zero(make_chain(2), ring)
+        elif fault == ["foreign_ring"]:
+            el = IncidenceElement.zero(poset, integers_mod(7))
+        entries[tuple(left), tuple(right)] = el
+    return entries
+
+
+def load_outcome(load, *args):
+    """A loaded bracket as everything it shows, or the error's type and text."""
+    try:
+        bracket = load(*args)
+    except LOAD_ERRORS as exc:
+        return type(exc), str(exc)
+    return bracket, bracket.to_json(), bracket.stored_pairs(), repr(bracket), hash(bracket)
+
+
+class TestLoadersAgainstReference:
+    """Bracket.from_json and from_basis_table against the reference loaders,
+    which build one element per pair and fold the orientations themselves:
+    every table with at most one fault gives an equal bracket, or the same
+    error type and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=loader_tables(SHARED_FAULTS + JSON_FAULTS), antisymmetric=st.booleans())
+    def test_from_json(self, table, antisymmetric):
+        poset, ring, pairs = table
+        data = as_json(pairs)
+        assert load_outcome(Bracket.from_json, poset, ring, data, antisymmetric) == load_outcome(
+            reference_bracket.bracket_from_json, poset, ring, data, antisymmetric
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=loader_tables(SHARED_FAULTS + VALUE_FAULTS), antisymmetric=st.booleans())
+    def test_from_basis_table(self, table, antisymmetric):
+        poset, ring, pairs = table
+        entries = as_basis_table(poset, ring, pairs)
+        assert load_outcome(Bracket.from_basis_table, poset, ring, entries, antisymmetric) == load_outcome(
+            reference_bracket.from_basis_table, poset, ring, entries, antisymmetric
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=loader_tables([]))
+    def test_element_from_json(self, table):
+        poset, ring, pairs = table
+        for _, _, value in pairs:
+            data = {"ring": ring.to_json(), "entries": value}
+            got, want = IncidenceElement.from_json(poset, data), reference_bracket.element_from_json(poset, data)
+            assert (got, got.to_json(), repr(got)) == (want, want.to_json(), repr(want))
+
 
 EVALUATE_RINGS = [Q, INTEGERS, integers_mod(4), integers_mod(7)]
 

@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fence3
+from conftest import corpus_params, fence3
 from poisset import SigmaMap, RATIONALS, from_sigma, make_chain, make_crown
 from poisset.cli import build_parser, main
 
@@ -58,6 +58,12 @@ class TestPosetInfo:
         assert data["strict_pairs"] == 4
         assert data["chain_components"] == 4
         assert data["maximal_chain_overlap"] is False
+
+    @pytest.mark.parametrize("poset", corpus_params())
+    def test_strict_pairs_are_counted(self, poset, tmp_path, capsys):
+        path = write(tmp_path, "poset.json", poset.to_json())
+        assert main(["poset-info", "--poset", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["strict_pairs"] == len(poset.strict_pairs())
 
     def test_text_summary(self, crown_file, capsys):
         assert main(["poset-info", "--poset", crown_file]) == 0

@@ -244,6 +244,20 @@ class TestStructure:
         c = partition.class_index(StrictPair("c", "b"))
         assert {a, c} == {0, 1}
 
+    @pytest.mark.parametrize("poset", corpus_params())
+    def test_pair_partition_index_is_built_on_first_lookup(self, poset):
+        partition = poset.chain_components()
+        assert len(partition) == len(list(partition))
+        assert partition._class_of is None
+        for idx, cls in enumerate(partition):
+            for pair in cls:
+                assert partition.class_index(pair) == idx
+                assert partition.same_class(pair, cls[0])
+        x = poset.elements[0]
+        with pytest.raises(KeyError):
+            partition.class_index(StrictPair(x, x))
+        assert partition._class_of == {pair: idx for idx, cls in enumerate(partition) for pair in cls}
+
 
 class TestSerialization:
     @pytest.mark.parametrize("poset", corpus_params())
