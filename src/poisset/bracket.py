@@ -158,11 +158,21 @@ class SigmaMap:
 
     @staticmethod
     def from_json(poset: Poset, ring: RingSpec, data: dict) -> "SigmaMap":
-        if not isinstance(data, dict):
-            raise ValueError("sigma JSON must be an object")
+        """The map of {"entries": [{"lo", "hi", "value"}, ...]}; a malformed
+        document raises ValueError naming the field."""
+        entries = data.get("entries", []) if isinstance(data, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError("sigma JSON must be an object with an 'entries' list")
         values = {}
-        for entry in data.get("entries", []):
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ValueError(f"sigma entry {entry!r} is not an object")
+            for field in ("lo", "hi", "value"):
+                if field not in entry:
+                    raise ValueError(f"sigma entry {entry!r} has no {field!r}")
             key = (entry["lo"], entry["hi"])
+            if not all(isinstance(end, str) for end in key):
+                raise ValueError(f"sigma entry {entry!r}: 'lo' and 'hi' must be string labels")
             if key in values:
                 raise InvalidPair(f"duplicate sigma entry for {key}")
             values[key] = parse_scalar(ring, entry["value"])

@@ -68,5 +68,6 @@ class NotProportional(PoissetError):
 class BijectionViolation(PoissetError):
     """Solver output and the chain-component parametrization disagree.
 
-    This is never expected; it signals an implementation bug.
+    This is never expected.  Should it happen, report the poset and the
+    ring: it is a finding about the classification (see solver.classify).
     """

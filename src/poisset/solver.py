@@ -45,6 +45,26 @@ grading and rows of basis triples; it uses no fact about chain components.
 Only the rows that meet a live column are built, their other entries
 dropped; with the unit rows of the non-live columns they span the system.
 
+Rule 3.  Fix c and write D = B(., e_c), R(a, b) = D(e_a e_b) - D(e_a)
+e_b - e_a D(e_b): its coefficients are the rows of the triple (a, b, c).
+The build keeps those of R(a, b) with e_a e_b = 0 or with a a cover and b
+strict; K, their span with the unit rows of the non-live columns, holds
+the others.  R is bilinear, R(fg, h) + R(f, g) h = R(f, gh) + f R(g, h)
+by expanding both sides, and a product with a basis element only moves
+coefficients.  A strict a that is no cover is a1 a2, a1 a cover and a2
+strict, and for strict b, R(a, b) = R(a1, a2 b) + a1 R(a2, b) - R(a1, a2)
+b is in K by induction on the length of a.  With 1 the sum of the e_xx,
+R(1, 1) = -D(1) is the sum of the R(e_xx, e_ww), x != w, and the R(e_xx,
+e_xx), whose coefficient at t is zero if t meets x at one end only and
+else +-B(e_xx, e_c)(e_t), a non-live column.  So D(1) is in K, and so are
+R(e_xx, b) = R(1, b) - sum_{w != x} R(e_ww, b), as R(1, b) = -D(1) e_b,
+and R(a, e_yy) = -e_a D(1) - sum_{w != y} R(a, e_ww).  Each dropped row is
+an integer combination of K's rows, so it changes no solution over any
+ring, and nullspace gives the same basis.  The proof uses no chain
+components.  classify stays self-certifying: every basis vector still
+passes extract_sigma's full Leibniz gate, so a row dropped in error would
+raise BijectionViolation, not give a wrong answer.
+
 Row shape.  Each row the live build streams reads x_p = +-x_q, with p != q
 live, or x_p = 0.  The row of the triple (a, b, c) at a target t has three
 terms: B(ab, c)(e_t), B(a, c)(e_k) with e_k e_b = e_t, and B(b, c)(e_k')
@@ -69,9 +89,12 @@ make B(b, c) vanish), and e_k e_a = e_a e_k = e_t force k = a = t, an
 idempotent; B(a, c)(e_a), a != c, is not live, since e_a e_c = e_a or
 e_c e_a = e_a only for c = a.  So two terms never add to +-2: once the
 terms on one column are summed and zero sums dropped, a row is empty, one
-entry +-1, or two entries +-1 on distinct columns.  The argument uses
-the products of basis elements, antisymmetry and rule 2; it uses no fact
-about chain components.
+entry +-1, or two entries +-1 on distinct columns.  The rows the build
+keeps need no sum: the second and third terms never share a column, and
+the first shares one only if ab = a or ab = b, which a cover a and a
+strict b exclude; the other rows kept have no first term.  The argument
+uses the products of basis elements, antisymmetry and rule 2; it uses no
+fact about chain components.
 
 Solving.  Rows x_p = s x_q, s = +-1, and x_p = 0 make a signed graph on
 the live columns (Zaslavsky, "Signed graphs", Discrete Appl. Math. 4,
@@ -247,12 +270,17 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     each ab = u, B(a, c) e_b of (u, b, v) at t' for each e_t e_b = e_t',
     and e_a B(b, c) of (a, u, v) at t' for each e_a e_t = e_t'.  A row is
     built from its first live term, so once, without its non-live terms,
-    by _row, and goes to LinearSystem.take.  rows_streamed counts the
-    nonzero rows built plus one unit row per non-live column.
+    by _row, and goes to LinearSystem.take; of the rows of the first kind
+    only those with a a cover and b strict are built (rule 3).
+    rows_streamed counts the nonzero rows built plus one unit row per
+    non-live column.
     """
     system = LinearSystem(poset, field)
     intervals, column = system.intervals, system.column
     product, factors, right, left, _ = poset.basis_products()
+    # [x, y] factors as e_xx [x, y], [x, y] e_yy and once per x < z < y
+    cover, strict = [len(f) == 2 for f in factors], [len(f) > 1 for f in factors]
+    factors = [[(a, b) for a, b in f if cover[a] and strict[b]] for f in factors]
     # term[u, v, t] is the (column, sign) of B(e_u, e_v)(e_t) for e_t = e_u e_v
     # or e_v e_u, u != v (at most one is nonzero): the live terms; pairs[t]
     # lists those (u, v)
@@ -270,7 +298,7 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     for t, ts in enumerate(pairs):
         for u, v in ts:
             own = term[u, v, t]
-            rows = [  # B(ab, c) of (a, b, v) at t
+            rows = [  # B(ab, c) of (a, b, v) at t, a a cover and b strict (rule 3)
                 (own, live((a, v, below[b].get(t))), live((b, v, above[a].get(t))))
                 for a, b in factors[u]
             ]
@@ -291,18 +319,13 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
 
 def _row(first, second, third) -> list[tuple[int, int]]:
     """The row B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0 on its live terms,
-    each a (column, sign) pair or None, as (column, coefficient) entries:
-    terms on one column summed, zero sums dropped.  Coefficients are plain
-    ints, the same in every ring, so a sum of +-2 is seen over Z/2 too."""
+    each a (column, sign) pair or None, as (column, coefficient) entries.
+    No two terms of a row the build keeps fall on one column (module
+    docstring, Row shape); LinearSystem.take rejects a row where they do."""
     terms = [first] if first else []
     for term in (second, third):
         if term:
             terms.append((term[0], -term[1]))
-    if len(terms) > 2 or len(terms) == 2 and terms[0][0] == terms[1][0]:
-        merged: dict[int, int] = {}
-        for col, v in terms:
-            merged[col] = merged.get(col, 0) + v
-        terms = [(col, v) for col, v in merged.items() if v]
     return terms
 
 

@@ -111,6 +111,29 @@ def corpus() -> list[tuple[str, Poset]]:
 CORPUS = corpus()
 
 
+def natural_posets(n: int):
+    """Every poset on the labels 1..n in which i < j implies i before j,
+    each once: OEIS A006455, 1, 2, 7, 40, 357, 4824, ... for n = 1, 2, ...
+    Column j of the strict order is the down-set of j, a bitmask of the
+    labels before it; a column is kept when it holds the down-set of each
+    of its members, so the order stays transitive."""
+    labels = [str(i) for i in range(1, n + 1)]
+
+    def extend(downs):
+        j = len(downs)
+        if j == n:
+            covers = [
+                (labels[i], labels[k]) for k, down in enumerate(downs) for i in range(k) if down >> i & 1
+            ]
+            yield Poset(labels, covers)
+            return
+        for down in range(1 << j):
+            if all(not downs[i] & ~down for i in range(j) if down >> i & 1):
+                yield from extend([*downs, down])
+
+    return extend([])
+
+
 def corpus_params():
     return [pytest.param(poset, id=name) for name, poset in CORPUS]
 

@@ -37,6 +37,9 @@ Run with -v to get one pass/fail line per criterion:
     over Q, < 30 s, bool7 over Q (16,256 live columns), < 20 s, and the
     40-chain over Z/7 (11,440 live columns), < 20 s: dimension 1, matching
     the one chain component
+  * census: every naturally labelled poset of 1-6 elements (5,231 posets)
+    classifies over Q, Z/2 and Z/3 with dimension = chain components,
+    < 30 s
 """
 
 import json
@@ -45,7 +48,7 @@ import time
 
 import pytest
 
-from conftest import CORPUS, boolean_lattice, broom, fence, random_sigma
+from conftest import CORPUS, boolean_lattice, broom, fence, natural_posets, random_sigma
 from test_bracket import assert_lambda_relations, crown_table
 
 from poisset import (
@@ -386,3 +389,13 @@ def test_classify_scale(build, ring, bound, dimension):
     assert time.perf_counter() - started < bound
     assert report.dimension == dimension
     assert report.match
+
+
+def test_census_classification():
+    started = time.perf_counter()
+    for n in range(1, 7):
+        for poset in natural_posets(n):
+            for ring in (Q, integers_mod(2), integers_mod(3)):
+                report = classify(poset, ring)
+                assert report.match and report.dimension == len(poset.chain_components())
+    assert time.perf_counter() - started < 30.0

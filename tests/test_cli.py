@@ -285,6 +285,21 @@ class TestIsStandard:
         assert data["standard"] is True
         assert {e["coeff"] for e in data["lambda"]["entries"]} == {"2"}
 
+    def test_corrupted_table_is_refused(self, crown_file, ex12_file, tmp_path, capsys):
+        # the crown's table with e_xx added to a value whose left interval
+        # (x, y) is strict: Leibniz fails at (e_xy, e_yy, right), exit 1
+        with open(ex12_file, encoding="utf-8") as handle:
+            data = json.load(handle)
+        entry = next(p for p in data["pairs"] if p["left"]["lo"] != p["left"]["hi"])
+        x = entry["left"]["lo"]
+        entry["value"].append({"lo": x, "hi": x, "coeff": "1"})
+        path = write(tmp_path, "bad.json", data)
+        argv = ["is-standard", "--poset", crown_file, "--bracket", path]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.startswith("not an antisymmetric biderivation: ")
+        assert main([*argv, "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "NotABiderivation"
+
 
 class TestLemmaSuite:
     def test_passes_on_generated_bracket(self, crown_file, ex12_file, capsys):
@@ -503,6 +518,23 @@ class TestMalformedTables:
         sigma = write(tmp_path, "sigma.json", data)
         argv = ["from-sigma", "--poset", crown_file, "--sigma", sigma]
         assert self.run(argv, capsys) == 2
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([{"hi": "3", "value": "1"}], "sigma entry {'hi': '3', 'value': '1'} has no 'lo'"),
+            (3, "sigma JSON must be an object with an 'entries' list"),
+            (
+                [{"lo": ["1"], "hi": "3", "value": "1"}],
+                "sigma entry {'lo': ['1'], 'hi': '3', 'value': '1'}: 'lo' and 'hi' must be string labels",
+            ),
+        ],
+        ids=["missing-lo", "entries-not-a-list", "list-label"],
+    )
+    def test_malformed_sigma_names_the_field(self, crown_file, tmp_path, capsys, entries, message):
+        sigma = write(tmp_path, "sigma.json", {"entries": entries})
+        assert main(["from-sigma", "--poset", crown_file, "--sigma", sigma]) == 2
+        assert capsys.readouterr().err == f"poisset: {sigma}: {message}\n"
 
     def test_duplicate_sigma_entry(self, crown_file, tmp_path, capsys):
         data = crown_sigma_json()

@@ -447,6 +447,15 @@ class TestAgainstReference:
                 ),
                 id="one-class-apart-at-x",
             ),
+            # at x the up-set of (x, w3) meets that of (x, w2) through z but
+            # not that of (x, w1), whose group is kept apart
+            pytest.param(
+                Poset(
+                    ["x", "w1", "w2", "w3", "z"],
+                    [("x", "w1"), ("x", "w2"), ("x", "w3"), ("w2", "z"), ("w3", "z")],
+                ),
+                id="group-kept-apart-at-x",
+            ),
             *corpus_params(),  # fence3 and crown+chain3 among them
         ],
     )
