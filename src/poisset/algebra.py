@@ -257,19 +257,42 @@ class IncidenceElement:
 def _parse_entries(poset: Poset, ring: RingSpec, entries) -> dict[int, object]:
     """The canonical nonzero raw values of JSON entries {"lo", "hi", "coeff"}
     by interval rank; each interval is checked once: its labels, lo <= hi,
-    no second entry for it, its scalar text."""
+    no second entry for it, its scalar text.  A malformed list or entry
+    raises ValueError naming the field."""
     rank, values = poset._rank(), {}
-    for entry in entries:
-        lo, hi = entry["lo"], entry["hi"]
-        k = rank.get((lo, hi))  # a plain tuple finds its Interval key
-        if k is None:
-            if lo not in poset or hi not in poset:
-                raise UnknownLabel(f"{lo!r} or {hi!r} is not an element of the poset")
-            raise NotComparable(f"{lo!r} <= {hi!r} does not hold")
-        if k in values:
-            raise InvalidPair(f"duplicate entry for ({lo!r}, {hi!r})")
-        values[k] = parse_scalar(ring, entry["coeff"]).value
+    try:
+        for entry in entries:
+            lo, hi = entry["lo"], entry["hi"]
+            k = rank.get((lo, hi))  # a plain tuple finds its Interval key
+            if k is None:
+                if lo not in poset or hi not in poset:
+                    raise UnknownLabel(f"{lo!r} or {hi!r} is not an element of the poset")
+                raise NotComparable(f"{lo!r} <= {hi!r} does not hold")
+            if k in values:
+                raise InvalidPair(f"duplicate entry for ({lo!r}, {hi!r})")
+            values[k] = parse_scalar(ring, entry["coeff"]).value
+    except (KeyError, TypeError):
+        if not isinstance(entries, list):  # name the field at fault, or else re-raise
+            raise ValueError(f"entries {entries!r} must be a list") from None
+        for entry in entries:
+            _fields(entry, "entry", "lo", "hi", "coeff")
+        raise
     return {k: v for k, v in values.items() if v}
+
+
+def _fields(entry, what: str, *names: str) -> list:
+    """entry[name] for each name, "lo" and "hi" first if named; a ValueError
+    names the field when entry is no object or lacks one, or when its "lo"
+    or "hi" is no string label."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} {entry!r} is not an object")
+    try:
+        found = [entry[name] for name in names]
+    except KeyError as exc:
+        raise ValueError(f"{what} {entry!r} has no {exc.args[0]!r}") from None
+    if names[0] == "lo" and not (isinstance(found[0], str) and isinstance(found[1], str)):
+        raise ValueError(f"{what} {entry!r}: 'lo' and 'hi' must be string labels")
+    return found
 
 
 def _convolve(rows: dict[str, dict], f: dict, g: dict, sign: int) -> dict[str, dict]:

@@ -10,6 +10,23 @@ a chain-constant map sigma on strict pairs induces the bracket
 
 and every antisymmetric biderivation arises this way, with sigma recovered
 as sigma(x, y) = B(e_x, e_xy)(x, y).
+
+Leibniz family.  Fix c and write D = B(., e_c), R(a, b) = D(e_a e_b) -
+D(e_a) e_b - e_a D(e_b): its coefficients are the residuals of the first
+Leibniz identity at the triples (a, b, c).  H holds the pairs with a a
+generator, a cover or an e_xx, and e_a e_b = 0, or a a cover and b strict,
+or a = b.  R is bilinear, R(fg, h) + R(f, g) h = R(f, gh) + f R(g, h) by
+expanding both sides, and a product with a basis element only moves
+coefficients.  With 1 the sum of the e_xx, D(1) = -R(1, 1) = -sum R(e_xx,
+e_ww), each pair in H.  R(e_xx, b) = -D(1) e_b - sum_{w != x} R(e_ww, b),
+and for a cover a, R(a, e_yy) = -e_a D(1) - sum_{w != y} R(a, e_ww); a
+pair of either kind outside H has b = [x, z] or a = [w, y], where every
+term of the sums is in H.  So R(s, b) is in the span of H for each
+generator s.  A strict a that is no cover is a1 a2, a1 a cover and a2
+strict, and R(a, b) = R(a1, a2 b) + a1 R(a2, b) - R(a1, a2) b is in it by
+induction on the length of a.  Each step is an integer combination, so R
+vanishes on H iff it vanishes on every pair, over any ring.  The proof
+uses no chain components.
 """
 
 from __future__ import annotations
@@ -17,7 +34,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping
 
-from .algebra import IncidenceElement, _parse_entries, random_element
+from .algebra import IncidenceElement, _fields, _parse_entries, random_element
 from .coeff import Echelon, RingSpec, Scalar, format_scalar, parse_scalar
 from .errors import (
     InconsistentAntisymmetry,
@@ -165,17 +182,10 @@ class SigmaMap:
             raise ValueError("sigma JSON must be an object with an 'entries' list")
         values = {}
         for entry in entries:
-            if not isinstance(entry, dict):
-                raise ValueError(f"sigma entry {entry!r} is not an object")
-            for field in ("lo", "hi", "value"):
-                if field not in entry:
-                    raise ValueError(f"sigma entry {entry!r} has no {field!r}")
-            key = (entry["lo"], entry["hi"])
-            if not all(isinstance(end, str) for end in key):
-                raise ValueError(f"sigma entry {entry!r}: 'lo' and 'hi' must be string labels")
-            if key in values:
-                raise InvalidPair(f"duplicate sigma entry for {key}")
-            values[key] = parse_scalar(ring, entry["value"])
+            lo, hi, value = _fields(entry, "sigma entry", "lo", "hi", "value")
+            if (lo, hi) in values:
+                raise InvalidPair(f"duplicate sigma entry for {(lo, hi)}")
+            values[lo, hi] = parse_scalar(ring, value)
         return SigmaMap(poset, ring, values)
 
 
@@ -364,17 +374,27 @@ class Bracket:
     def from_json(
         poset: Poset, ring: RingSpec, data: dict, antisymmetric: bool = True
     ) -> "Bracket":
+        """The bracket of {"pairs": [{"left", "right", "value"}, ...]}; a
+        malformed document raises ValueError naming the field."""
         if not isinstance(data, dict):
             raise ValueError("bracket JSON must be an object")
-        rank, table = poset._rank(), {}
-        for pair in data.get("pairs", []):
-            left = pair["left"]["lo"], pair["left"]["hi"]
-            right = pair["right"]["lo"], pair["right"]["hi"]
-            values = _parse_entries(poset, ring, pair["value"])
-            ranks = _interval_rank(rank, left), _interval_rank(rank, right)
-            if ranks in table:
-                raise InvalidPair(f"duplicate table entry for {(left, right)}")
-            table[ranks] = values
+        pairs, rank, table = data.get("pairs", []), poset._rank(), {}
+        if not isinstance(pairs, list):
+            raise ValueError("bracket JSON 'pairs' must be a list")
+        try:
+            for pair in pairs:
+                left = pair["left"]["lo"], pair["left"]["hi"]
+                right = pair["right"]["lo"], pair["right"]["hi"]
+                values = _parse_entries(poset, ring, pair["value"])
+                ranks = _interval_rank(rank, left), _interval_rank(rank, right)
+                if ranks in table:
+                    raise InvalidPair(f"duplicate table entry for {(left, right)}")
+                table[ranks] = values
+        except (KeyError, TypeError):
+            for pair in pairs:  # name the field at fault, or else re-raise
+                for side in _fields(pair, "bracket pair", "left", "right", "value")[:2]:
+                    _fields(side, "bracket interval", "lo", "hi")
+            raise
         return Bracket(poset, ring, table, antisymmetric)
 
 
@@ -446,12 +466,12 @@ def check_biderivation(bracket: Bracket) -> CheckReport:
     antisym = check_antisymmetric(bracket).ok
     report = CheckReport("biderivation")
     ivs = bracket.poset.intervals()
-    basis = bracket.poset.basis_products()
+    full = bracket.poset.leibniz_index().full
     table, reduce = bracket._table, bracket.ring.reduce
-    fail1 = set(_leibniz_failures(_lines(table, 1), basis, reduce))
+    fail1 = set(_leibniz_failures(_lines(table, 1), full, reduce))
     # the second identity at (a, b, c) is the first at (b, c, a) for the
     # transposed table B'(u, v) = B(v, u)
-    fail2 = {(a, b, c) for b, c, a in _leibniz_failures(_lines(table, 0), basis, reduce)}
+    fail2 = {(a, b, c) for b, c, a in _leibniz_failures(_lines(table, 0), full, reduce)}
     for triple in sorted(fail1 | fail2):
         for check, failed in (("leibniz_1", fail1), ("leibniz_2", fail2)):
             if triple in failed:
@@ -482,30 +502,37 @@ def _lines(table: dict[tuple[int, int], dict], side: int) -> dict[int, list]:
     return lines
 
 
-def _leibniz_failures(lines, basis, reduce) -> list[tuple[int, int, int]]:
-    """The rank triples (a, b, c) with B(ab, c) - B(a, c) e_b - e_a B(b, c)
-    nonzero, given the stored B(i, c) as lines[c] = [(i, values), ...].
+def _leibniz_failures(lines, family: tuple, reduce) -> list[tuple[int, int, int]]:
+    """The rank triples (a, b, c) with R(a, b) = B(ab, c) - B(a, c) e_b -
+    e_a B(b, c) nonzero, for the pairs (a, b) of family, given the stored
+    B(i, c) as lines[c] = [(i, values), ...].
 
-    The residuals of one c are summed term by term from its line: B(i, c)
-    lands at each factorisation i = ab; B(i, c) e_b at (i, b, c) for each
-    term e_k with e_k e_b nonzero; e_a B(i, c) at (a, i, c) for each term
-    with e_a e_k nonzero.
+    A family (Poset.leibniz_index) is (factors, left, right, lo, hi).  The
+    residuals of one c are summed term by term from its line, R(a, b) at
+    e_t keyed (a n + b) n + t for n intervals: B(i, c) at f + k for each f
+    of factors[i] and term e_k; B(i, c) e_b at i n^2 + m and e_a B(i, c) at
+    i n + m for each m of near[k] or far[k], (near, far) = left[i] or
+    right[i], near if k ends (starts) where i does, by the end positions
+    lo and hi.
     """
-    factors, left, right = basis.factors, basis.left, basis.right
+    factors, left, right, lo, hi = family
+    n, n2 = len(lo), len(lo) ** 2
     failed: list[tuple[int, int, int]] = []
     for c, line in lines.items():
-        acc: dict[tuple[int, int, int], int] = {}  # (a, b, t): residual at e_t
+        acc: dict[int, int] = {}  # (a n + b) n + t: R(a, b) at e_t
         get = acc.get
         for i, values in line:
-            for a, b in factors[i]:
+            for f in factors[i]:
                 for k, v in values.items():
-                    acc[a, b, k] = get((a, b, k), 0) + v
+                    acc[key] = get(key := f + k, 0) + v
+            (l_near, l_far), (r_near, r_far), x, y = left[i], right[i], lo[i], hi[i]
+            i_n, i_n2 = i * n, i * n2
             for k, v in values.items():
-                for t, b in left[k]:
-                    acc[i, b, t] = get((i, b, t), 0) - v
-                for t, a in right[k]:
-                    acc[a, i, t] = get((a, i, t), 0) - v
-        failed += {(a, b, c) for (a, b, _), v in acc.items() if reduce(v)}
+                for m in (l_near if hi[k] == y else l_far)[k]:
+                    acc[key] = get(key := i_n2 + m, 0) - v
+                for m in (r_near if lo[k] == x else r_far)[k]:
+                    acc[key] = get(key := i_n + m, 0) - v
+        failed += {(key // n2, key // n % n, c) for key, v in acc.items() if reduce(v)}
     return failed
 
 
@@ -547,13 +574,14 @@ def check_jacobi(bracket: Bracket) -> CheckReport:
 
 
 def _require_biderivation(bracket: Bracket):
+    """Raise NotABiderivation unless the table is antisymmetric and passes
+    the first Leibniz identity, which then gives the second (see
+    poisset.solver): one pass over the residuals of H (Leibniz family)
+    gives check_biderivation's verdict."""
     if not check_antisymmetric(bracket).ok:
         raise NotABiderivation("bracket is not antisymmetric")
-    # for an antisymmetric table the second Leibniz identity at (a, b, c) is
-    # minus the first at (b, c, a) (see poisset.solver), so both hold iff
-    # the first does: one pass gives check_biderivation's verdict
-    basis, reduce = bracket.poset.basis_products(), bracket.ring.reduce
-    if _leibniz_failures(_lines(bracket._table, 1), basis, reduce):
+    family = bracket.poset.leibniz_index().generators
+    if _leibniz_failures(_lines(bracket._table, 1), family, bracket.ring.reduce):
         raise NotABiderivation("bracket violates a Leibniz identity")
 
 
@@ -589,8 +617,9 @@ def extract_sigma(bracket: Bracket, check: bool = True) -> SigmaMap:
 
     sigma is read from the stored entries B(e_x, e_xy) alone; a strict pair
     with none reads zero.  With check=True (the default) the bracket is
-    first verified to be an antisymmetric biderivation; NotABiderivation is
-    raised otherwise.
+    first verified to be an antisymmetric biderivation, by one Leibniz pass
+    over the residuals R(a, b) of H (_require_biderivation);
+    NotABiderivation is raised otherwise.
     """
     if check:
         _require_biderivation(bracket)

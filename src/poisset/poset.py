@@ -9,8 +9,9 @@ transitive reduction.  Element order is the input order; intervals are
 ordered lexicographically by (lo index, hi index) and listed on
 construction.  The map from an interval to its rank and the basis
 multiplication table are built on first use, by interval_index or
-basis_products.  Chain components are found from the covers alone, each
-strict pair placed by the covers at its bottom.  Posets are immutable.
+basis_products, and so are the Leibniz families, by leibniz_index.  Chain
+components are found from the covers alone, each strict pair placed by
+the covers at its bottom.  Posets are immutable.
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ class BasisProducts(NamedTuple):
     right: tuple[tuple[tuple[int, int], ...], ...]
     left: tuple[tuple[tuple[int, int], ...], ...]
     rank: dict[Interval, int]
+
+
+class LeibnizIndex(NamedTuple):
+    """The Leibniz families of a poset, on interval ranks: factors[t] lists
+    the (a, b) of BasisProducts.factors[t] with a a cover and b strict
+    (poisset.solver, rule 3); full sums every R(a, b) (_leibniz_failures),
+    generators those of H (poisset.bracket, Leibniz family)."""
+
+    factors: tuple[tuple[tuple[int, int], ...], ...]
+    full: tuple
+    generators: tuple
 
 
 class _UnionFind:
@@ -216,6 +228,7 @@ class Poset:
         self._intervals = tuple(intervals)
         self._interval_index: dict[Interval, int] | None = None
         self._products: BasisProducts | None = None
+        self._leibniz: LeibnizIndex | None = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -299,6 +312,41 @@ class Poset:
             indexes = (tuple(map(tuple, index)) for index in (factors, right, left))
             self._products = BasisProducts(product, *indexes, rank)
         return self._products
+
+    def leibniz_index(self) -> LeibnizIndex:
+        """The Leibniz families, built on first use and cached.  Each move
+        of the generators is a BasisProducts move to a strict, a cover, an
+        e_xx or a generator, chosen by its flag, never by its position."""
+        if self._leibniz is None:
+            _, factors, right, left, _ = self.basis_products()
+            lo, hi = (tuple(self._index[iv[end]] for iv in self._intervals) for end in (0, 1))
+            n, idem = len(factors), [x == y for x, y in zip(lo, hi)]
+            # [x, y] factors as e_xx [x, y], [x, y] e_yy and once per x < z < y
+            cover = [len(f) == 2 for f in factors]
+            strict, every = [not e for e in idem], [True] * n
+            gen = [c or e for c, e in zip(cover, idem)]
+            narrowed = tuple(tuple((a, b) for a, b in f if cover[a] and strict[b]) for f in factors)
+
+            def keys(moves, scale, keep):  # each move (t, s) with keep[s] as s * scale + t
+                return tuple(tuple(s * scale + t for t, s in ms if keep[s]) for ms in moves)
+
+            def products(fs):
+                return tuple(tuple((a * n + b) * n for a, b in f) for f in fs)
+
+            l_all, r_all, r_gen = keys(left, n, every), keys(right, n * n, every), keys(right, n * n, gen)
+            by_cover, by_idem = (keys(left, n, strict), l_all), (keys(left, n, idem), l_all)
+            to_cover, to_idem = (keys(right, n * n, cover), r_gen), (keys(right, n * n, idem), r_gen)
+            neither = (((),) * n,) * 2
+            generators = (
+                products(factors[t] if idem[t] else f for t, f in enumerate(narrowed)),
+                tuple(by_cover if cover[i] else by_idem if idem[i] else neither for i in range(n)),
+                tuple(to_idem if idem[i] else to_cover for i in range(n)),
+                lo,
+                hi,
+            )
+            full = products(factors), ((l_all, l_all),) * n, ((r_all, r_all),) * n, lo, hi
+            self._leibniz = LeibnizIndex(narrowed, full, generators)
+        return self._leibniz
 
     def is_interval(self, lo: str, hi: str) -> bool:
         return lo in self._index and hi in self._index and self.leq(lo, hi)

@@ -45,25 +45,18 @@ grading and rows of basis triples; it uses no fact about chain components.
 Only the rows that meet a live column are built, their other entries
 dropped; with the unit rows of the non-live columns they span the system.
 
-Rule 3.  Fix c and write D = B(., e_c), R(a, b) = D(e_a e_b) - D(e_a)
-e_b - e_a D(e_b): its coefficients are the rows of the triple (a, b, c).
+Rule 3.  Fix c and write D = B(., e_c): the coefficients of R(a, b) =
+D(e_a e_b) - D(e_a) e_b - e_a D(e_b) are the rows of the triple (a, b, c).
 The build keeps those of R(a, b) with e_a e_b = 0 or with a a cover and b
-strict; K, their span with the unit rows of the non-live columns, holds
-the others.  R is bilinear, R(fg, h) + R(f, g) h = R(f, gh) + f R(g, h)
-by expanding both sides, and a product with a basis element only moves
-coefficients.  A strict a that is no cover is a1 a2, a1 a cover and a2
-strict, and for strict b, R(a, b) = R(a1, a2 b) + a1 R(a2, b) - R(a1, a2)
-b is in K by induction on the length of a.  With 1 the sum of the e_xx,
-R(1, 1) = -D(1) is the sum of the R(e_xx, e_ww), x != w, and the R(e_xx,
-e_xx), whose coefficient at t is zero if t meets x at one end only and
-else +-B(e_xx, e_c)(e_t), a non-live column.  So D(1) is in K, and so are
-R(e_xx, b) = R(1, b) - sum_{w != x} R(e_ww, b), as R(1, b) = -D(1) e_b,
-and R(a, e_yy) = -e_a D(1) - sum_{w != y} R(a, e_ww).  Each dropped row is
-an integer combination of K's rows, so it changes no solution over any
-ring, and nullspace gives the same basis.  The proof uses no chain
-components.  classify stays self-certifying: every basis vector still
-passes extract_sigma's full Leibniz gate, so a row dropped in error would
-raise BijectionViolation, not give a wrong answer.
+strict.  With the unit rows of the non-live columns they span the rows of
+the family H of poisset.bracket (Leibniz family), and so every row, by
+integer combinations: the pairs of H left are the (e_xx, e_xx), and the
+coefficient of R(e_xx, e_xx) at t is zero if t meets x at one end only
+and else +-B(e_xx, e_c)(e_t), a non-live column.  So no dropped row
+changes a solution over any ring, and nullspace gives the same basis.
+The proof uses no chain components.  classify stays self-certifying:
+every basis vector still passes extract_sigma's Leibniz gate, so a row
+dropped in error would raise BijectionViolation, not give a wrong answer.
 
 Row shape.  Each row the live build streams reads x_p = +-x_q, with p != q
 live, or x_p = 0.  The row of the triple (a, b, c) at a target t has three
@@ -277,10 +270,8 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     """
     system = LinearSystem(poset, field)
     intervals, column = system.intervals, system.column
-    product, factors, right, left, _ = poset.basis_products()
-    # [x, y] factors as e_xx [x, y], [x, y] e_yy and once per x < z < y
-    cover, strict = [len(f) == 2 for f in factors], [len(f) > 1 for f in factors]
-    factors = [[(a, b) for a, b in f if cover[a] and strict[b]] for f in factors]
+    product, _, right, left, _ = poset.basis_products()
+    factors = poset.leibniz_index().factors
     # term[u, v, t] is the (column, sign) of B(e_u, e_v)(e_t) for e_t = e_u e_v
     # or e_v e_u, u != v (at most one is nonzero): the live terms; pairs[t]
     # lists those (u, v)

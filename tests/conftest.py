@@ -157,12 +157,23 @@ def posets(draw, max_size=6):
 
 
 @st.composite
+def shuffled_posets(draw, max_size=6):
+    """A poset of posets() with its elements listed in a drawn order, which
+    need not be a linear extension: then an interval [y, z] can rank before
+    [y, y], and an e_yy is not always first among the moves that start at
+    y."""
+    poset = draw(posets(max_size))
+    return Poset(draw(st.permutations(poset.elements)), poset.covers)
+
+
+@st.composite
 def antisymmetric_tables(draw, rings):
     """An antisymmetric table of random values: B(e_i, e_j) for up to eight
     pairs i before j, the constructor adding the mirrors, each of one to
     three terms at any interval, off the commutator's target and on the
-    diagonal as well."""
-    poset = draw(posets(max_size=5))
+    diagonal as well; the poset's element order need not be a linear
+    extension."""
+    poset = draw(shuffled_posets(max_size=5))
     ring = draw(st.sampled_from(rings))
     ivs = poset.intervals()
     index = st.integers(0, len(ivs) - 1)

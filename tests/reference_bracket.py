@@ -549,3 +549,59 @@ def lemma_suite(
                         else:
                             report.count_pass("corner_support")
     return report
+
+
+# -- the Leibniz family H, as coefficient rows -----------------------------------
+
+
+def leibniz_rows(poset, keep) -> list[dict]:
+    """The coefficient rows of R(a, b) = D(ab) - D(a) e_b - e_a D(b) at each
+    target t, for the basis pairs (a, b) with keep(a, b), as linear forms in
+    the unknowns D(e_i)(e_k) of a linear map D, column (i, k).  These rows
+    vanish at D exactly when R does on those pairs; c is fixed, so the rows
+    are those of the first Leibniz identity at the triples (a, b, c) for
+    D = B(., e_c)."""
+    ivs = poset.intervals()
+    prod = _basis_products(poset)
+    rows = []
+    for a in ivs:
+        for b in ivs:
+            if not keep(a, b):
+                continue
+            for t in ivs:
+                row: dict = {}
+                if (a, b) in prod:
+                    row[prod[a, b], t] = 1
+                # e_k e_b = e_t for k = [t.lo, b.lo], e_a e_k = e_t for k = [a.hi, t.hi]
+                if t.hi == b.hi and poset.leq(t.lo, b.lo):
+                    k = (a, Interval(t.lo, b.lo))
+                    row[k] = row.get(k, 0) - 1
+                if t.lo == a.lo and poset.leq(a.hi, t.hi):
+                    k = (b, Interval(a.hi, t.hi))
+                    row[k] = row.get(k, 0) - 1
+                rows.append(row)
+    return rows
+
+
+def rank_mod(rows, p: int) -> int:
+    """The rank over Z/p, p prime, of sparse rows {column: int}, by
+    Gaussian elimination on a dict of pivot rows, each 1 at its least
+    column."""
+    pivots: dict = {}
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inverse = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inverse % p for c, v in row.items()}
+                break
+            factor = row[lead]
+            for c, v in pivot.items():
+                w = (row.get(c, 0) - factor * v) % p
+                if w:
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+    return len(pivots)

@@ -24,9 +24,11 @@ from conftest import (
     crown_plus_chain3,
     diamond,
     fence3,
+    natural_posets,
     posets,
     random_sigma,
     ring_elements,
+    shuffled_posets,
 )
 from poisset import (
     INTEGERS,
@@ -926,8 +928,9 @@ def assert_same_reports(bracket):
 def raw_tables(draw, rings=RINGS):
     """A sparse raw table: any ordered pairs, diagonal ones included, no
     mirror implied, values of one to three terms; over Q with mixed
-    denominators, so that the verifiers must clear them."""
-    poset = draw(posets(max_size=5))
+    denominators, so that the verifiers must clear them.  The poset's
+    element order need not be a linear extension."""
+    poset = draw(shuffled_posets(max_size=5))
     ring = draw(st.sampled_from(rings))
     ivs = poset.intervals()
     index = st.integers(0, len(ivs) - 1)
@@ -957,7 +960,7 @@ def corrupted_sigma_tables(draw, rings=RINGS):
     """from_sigma of a random chain-constant sigma with one coefficient of
     one stored value changed: in antisymmetric storage, or in a raw table
     of both orientations, where only one of them changes."""
-    poset = draw(posets(max_size=5))
+    poset = draw(shuffled_posets(max_size=5))
     ring = draw(st.sampled_from(rings))
     bracket = from_sigma(random_sigma(poset, ring, random.Random(draw(st.integers(0, 999)))))
     antisymmetric = draw(st.booleans())
@@ -1281,7 +1284,7 @@ def assert_same_lemma_reports(bracket, samples, seed=0):
 
 @st.composite
 def sigma_tables(draw, rings=LEMMA_RINGS):
-    poset = draw(posets(max_size=5))
+    poset = draw(shuffled_posets(max_size=5))
     ring = draw(st.sampled_from(rings))
     return from_sigma(random_sigma(poset, ring, random.Random(draw(st.integers(0, 999)))))
 
@@ -1480,10 +1483,39 @@ def raw_sigma(sigma):
     return [(pair, type(v.value), v.value) for pair, v in sigma.values.items()]
 
 
+@st.composite
+def perturbed_tables(draw, rings):
+    """A from_sigma table with c e_k added to one B(e_i, e_j), i before j,
+    and so -c e_k to its mirror, at any pair and any target: antisymmetric,
+    and most often no longer a biderivation."""
+    bracket = draw(sigma_tables(rings))
+    poset, ring = bracket.poset, bracket.ring
+    ivs = poset.intervals()
+    table = {p: bracket.value(*p) for p in bracket.stored_pairs()}
+    if len(ivs) > 1:
+        i, j = sorted(draw(st.lists(st.sampled_from(ivs), min_size=2, max_size=2, unique=True)), key=ivs.index)
+        k, c = draw(st.sampled_from(ivs)), draw(st.integers(1, 6))
+        table[i, j] = table.get((i, j), IncidenceElement.zero(poset, ring)) + el(poset, {k: c}, ring)
+    return Bracket.from_basis_table(poset, ring, table)
+
+
+# Z has no denominators, Z/2 reads -1 as 1, Z/4 has zero divisors
+GATE_RINGS = [Q, INTEGERS, integers_mod(2), integers_mod(4), integers_mod(7)]
+GATE_TABLES = {
+    "sigma": sigma_tables(GATE_RINGS),
+    "perturbed": perturbed_tables(GATE_RINGS),
+    "sparse": antisymmetric_tables(GATE_RINGS),
+}
+
+
 class TestOnePassGate:
-    """_require_biderivation, once antisymmetry holds, checks the first
-    Leibniz identity alone; it must raise exactly when the exhaustive
-    checks report a failure, with the same message."""
+    """_require_biderivation, once antisymmetry holds, sums the residuals
+    R(a, b) of the first Leibniz identity over the family H alone; it must
+    raise exactly when the exhaustive checks report a failure, with the
+    same message, and exactly when the full kernel finds a failing triple.
+    Every table strategy lists the poset's elements in an order that need
+    not be a linear extension, so that an e_yy need not rank first among
+    the intervals that start at y."""
 
     @pytest.mark.parametrize("kind", list(TABLE_KINDS))
     @settings(deadline=None, max_examples=100)
@@ -1492,6 +1524,17 @@ class TestOnePassGate:
         bracket = data.draw(TABLE_KINDS[kind])
         got = gate_verdict(poisset.bracket._require_biderivation, bracket)
         assert got == gate_verdict(reference_bracket.require_biderivation, bracket)
+
+    @pytest.mark.parametrize("kind", list(GATE_TABLES))
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_same_verdict_as_the_full_kernel(self, kind, data):
+        bracket = data.draw(GATE_TABLES[kind])
+        full = bracket.poset.leibniz_index().full
+        lines = poisset.bracket._lines(bracket._table, 1)
+        failures = poisset.bracket._leibniz_failures(lines, full, bracket.ring.reduce)
+        want = "bracket violates a Leibniz identity" if failures else None
+        assert gate_verdict(poisset.bracket._require_biderivation, bracket) == want
 
     def test_each_verdict_comes_up(self):
         sigma = from_sigma(crown_sigma(1, 2, 3, 4))
@@ -1509,6 +1552,40 @@ class TestOnePassGate:
         ):
             assert gate_verdict(poisset.bracket._require_biderivation, bracket) == want
             assert gate_verdict(reference_bracket.require_biderivation, bracket) == want
+
+
+class TestLeibnizFamily:
+    """The proof of the Leibniz family in poisset.bracket, checked on every
+    poset of up to 5 elements: the coefficient rows of the R(a, b) of H
+    span those of every pair, as linear forms in the values of D, over
+    Z/2, Z/3 and Z/1000003."""
+
+    @staticmethod
+    def family(poset, covers_only=False):
+        covers, products = set(poset.covers), reference_bracket._basis_products(poset)
+
+        def keep(a, b):
+            cover, idempotent = (a.lo, a.hi) in covers, a.lo == a.hi and not covers_only
+            if (a, b) not in products:
+                return cover or idempotent
+            return cover and b.lo != b.hi or idempotent and a == b
+
+        return keep
+
+    @pytest.mark.parametrize("p", [2, 3, 1000003])
+    def test_generators_span_every_row(self, p):
+        for n in range(1, 6):
+            for poset in natural_posets(n):
+                every = reference_bracket.leibniz_rows(poset, lambda a, b: True)
+                kept = reference_bracket.leibniz_rows(poset, self.family(poset))
+                assert reference_bracket.rank_mod(kept, p) == reference_bracket.rank_mod(every, p), poset
+
+    def test_covers_alone_fall_short(self):
+        # the test has teeth: without the e_xx the rows span less
+        for poset in (make_chain(1), make_chain(3), CROWN):
+            every = reference_bracket.leibniz_rows(poset, lambda a, b: True)
+            kept = reference_bracket.leibniz_rows(poset, self.family(poset, covers_only=True))
+            assert reference_bracket.rank_mod(kept, 3) < reference_bracket.rank_mod(every, 3)
 
 
 class TestRawSigmaRead:

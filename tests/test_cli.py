@@ -536,6 +536,36 @@ class TestMalformedTables:
         assert main(["from-sigma", "--poset", crown_file, "--sigma", sigma]) == 2
         assert capsys.readouterr().err == f"poisset: {sigma}: {message}\n"
 
+    GOOD_PAIR = {
+        "left": {"lo": "1", "hi": "1"},
+        "right": {"lo": "1", "hi": "3"},
+        "value": [{"lo": "1", "hi": "3", "coeff": "1"}],
+    }
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                {"pairs": [{"right": {"lo": "1", "hi": "3"}, "value": []}]},
+                "bracket pair {'right': {'lo': '1', 'hi': '3'}, 'value': []} has no 'left'",
+            ),
+            (
+                {"pairs": [dict(GOOD_PAIR, value=[{"lo": "1", "coeff": "1"}])]},
+                "entry {'lo': '1', 'coeff': '1'} has no 'hi'",
+            ),
+            ({"pairs": 3}, "bracket JSON 'pairs' must be a list"),
+            (
+                {"pairs": [dict(GOOD_PAIR, left={"lo": ["1"], "hi": "1"})]},
+                "bracket interval {'lo': ['1'], 'hi': '1'}: 'lo' and 'hi' must be string labels",
+            ),
+        ],
+        ids=["missing-left", "entry-missing-hi", "pairs-not-a-list", "list-label"],
+    )
+    def test_malformed_bracket_names_the_field(self, crown_file, tmp_path, capsys, data, message):
+        bracket = write(tmp_path, "bracket.json", data)
+        assert main(["verify", "--poset", crown_file, "--bracket", bracket]) == 2
+        assert capsys.readouterr().err == f"poisset: {bracket}: {message}\n"
+
     def test_duplicate_sigma_entry(self, crown_file, tmp_path, capsys):
         data = crown_sigma_json()
         data["entries"].append(data["entries"][0])
