@@ -245,12 +245,13 @@ class IncidenceElement:
 
     @staticmethod
     def from_json(poset: Poset, data: dict, ring: RingSpec | None = None) -> "IncidenceElement":
-        if not isinstance(data, dict):
-            raise ValueError("element JSON must be an object")
+        """The element of {"ring", "entries": [{"lo", "hi", "coeff"}, ...]},
+        over ring if given; a malformed document raises ValueError naming
+        the field."""
         if ring is None:
-            ring = RingSpec.from_json(data["ring"])
+            ring = RingSpec.from_json(*_fields(data, "element JSON", "ring"))
         ivs = poset.intervals()
-        values = _parse_entries(poset, ring, data["entries"])
+        values = _parse_entries(poset, ring, *_fields(data, "element JSON", "entries"))
         return IncidenceElement.zero(poset, ring)._wrap({ivs[k]: v for k, v in values.items()})
 
 

@@ -85,9 +85,10 @@ terms on one column are summed and zero sums dropped, a row is empty, one
 entry +-1, or two entries +-1 on distinct columns.  The rows the build
 keeps need no sum: the second and third terms never share a column, and
 the first shares one only if ab = a or ab = b, which a cover a and a
-strict b exclude; the other rows kept have no first term.  The argument
-uses the products of basis elements, antisymmetry and rule 2; it uses no
-fact about chain components.
+strict b exclude; the other rows kept have no first term.  So
+LinearSystem.take gets each row as its three terms, None where one is not
+live.  The argument uses the products of basis elements, antisymmetry and
+rule 2; it uses no fact about chain components.
 
 Solving.  Rows x_p = s x_q, s = +-1, and x_p = 0 make a signed graph on
 the live columns (Zaslavsky, "Signed graphs", Discrete Appl. Math. 4,
@@ -217,17 +218,26 @@ class LinearSystem:
             self.dead.add(root)
             self.merged += 1
 
-    def take(self, row: list[tuple[int, int]]) -> None:
-        """Take the row sum of coeff * x_col = 0 over its (col, coeff)
-        entries: x_p = +-x_q or x_p = 0, with coefficients +-1.  Any other
-        row raises ValueError; the module docstring proves none is built."""
-        if len(row) == 2:
-            (p, a), (q, b) = row
-            if a in (1, -1) and b in (1, -1) and p != q:
-                return self.join(p, q, -a * b)
-        elif len(row) == 1 and row[0][1] in (1, -1):
-            return self.kill(row[0][0])
-        raise ValueError(f"row {row} is not x_p = +-x_q or x_p = 0")
+    def take(self, first, second, third) -> None:
+        """Take the row B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0 of one
+        triple at one target, each term the (column, sign) of its column or
+        None where it is not live.  The row must read x_p = +-x_q or x_p = 0;
+        any other raises ValueError, and the module docstring proves that
+        build_system makes none."""
+        # the live terms are (p, a), then (q, b) if any; the first term
+        # enters the row with +, the others with -, so x_p = s a b x_q
+        if first:
+            lead, other, s = first, second or third, 1
+        else:
+            lead, other, s = second or third, second and third, -1
+        if lead and lead[1] in (1, -1) and not (first and second and third):
+            p, a = lead
+            if other is None:
+                return self.kill(p)
+            q, b = other
+            if b in (1, -1) and p != q:
+                return self.join(p, q, s * a * b)
+        raise ValueError(f"row {first} - {second} - {third} is not x_p = +-x_q or x_p = 0")
 
     def classes(self) -> dict[int, list[tuple[int, int]]]:
         """Each class by its root: its (column, s) with x_column = s x_root,
@@ -256,68 +266,45 @@ def build_system(poset: Poset, field: RingSpec) -> LinearSystem:
     """Stream the rows of the first Leibniz identity that meet a live column.
 
     Intervals are handled by their rank.  The live columns are the
-    B(e_u, e_v)(e_t) with e_t = e_u e_v or e_v e_u (rule 2), visited by
-    target t, then in product order, each (u, v) followed by (v, u); no
-    result depends on the order of the rows (module docstring, Solving).
-    Such a column is the term B(ab, c) of the triple (a, b, v) at t for
-    each ab = u, B(a, c) e_b of (u, b, v) at t' for each e_t e_b = e_t',
-    and e_a B(b, c) of (a, u, v) at t' for each e_a e_t = e_t'.  A row is
-    built from its first live term, so once, without its non-live terms,
-    by _row, and goes to LinearSystem.take; of the rows of the first kind
-    only those with a a cover and b strict are built (rule 3).
-    rows_streamed counts the nonzero rows built plus one unit row per
-    non-live column.
+    B(e_u, e_v)(e_t) with e_t = e_u e_v or e_v e_u (rule 2), visited in
+    the order of term, which is product order, each (u, v) followed by
+    (v, u); no result depends on the order of the rows (module docstring,
+    Solving).  Such a column is the term B(ab, c) of the triple (a, b, v)
+    at t for each ab = u, B(a, c) e_b of (u, b, v) at t' for each
+    e_t e_b = e_t', and e_a B(b, c) of (a, u, v) at t' for each
+    e_a e_t = e_t'.  The third is never a row's first live term: B(au, v)
+    is live there if e_t = e_u e_v or a = v, and B(a, v), at e_a e_v, if
+    e_t = e_v e_u and a != v.  So a row is built once, from its first live
+    term, and LinearSystem.take gets its three terms; of the rows of the
+    first kind only those with a a cover and b strict are built (rule 3).
+    rows_streamed counts the rows built plus one unit row per non-live
+    column.
     """
     system = LinearSystem(poset, field)
-    intervals, column = system.intervals, system.column
+    column = system.column
     product, _, right, left, _ = poset.basis_products()
     factors = poset.leibniz_index().factors
     # term[u, v, t] is the (column, sign) of B(e_u, e_v)(e_t) for e_t = e_u e_v
-    # or e_v e_u, u != v (at most one is nonzero): the live terms; pairs[t]
-    # lists those (u, v)
+    # or e_v e_u, u != v (at most one is nonzero): the live terms
     term: dict[tuple[int, int, int], tuple[int, int]] = {}
-    pairs: list[list[tuple[int, int]]] = [[] for _ in intervals]
     for (a, b), t in product.items():
         if a != b:
             term[a, b, t], term[b, a, t] = column(a, b, t), column(b, a, t)
-            pairs[t] += (a, b), (b, a)
     # below[b][t] = k with e_k e_b = e_t; above[a][t] = k with e_a e_k = e_t
     below, above = [dict(moves) for moves in right], [dict(moves) for moves in left]
 
     system.live = {col for col, _ in term.values()}
-    live, build, take, streamed = term.get, _row, system.take, 0
-    for t, ts in enumerate(pairs):
-        for u, v in ts:
-            own = term[u, v, t]
-            rows = [  # B(ab, c) of (a, b, v) at t, a a cover and b strict (rule 3)
-                (own, live((a, v, below[b].get(t))), live((b, v, above[a].get(t))))
-                for a, b in factors[u]
-            ]
-            for t2, b in left[t]:  # B(a, c) e_b of (u, b, v) at t2
-                if not live((product.get((u, b)), v, t2)):
-                    rows.append((None, own, live((b, v, above[u].get(t2)))))
-            # e_a B(b, c) of (a, u, v) at e_a e_t is never a row's first
-            # live term: B(au, v) is live there if e_t = e_u e_v or a = v,
-            # and B(a, v), at e_a e_v, if e_t = e_v e_u and a != v
-            for first, second, third in rows:
-                row = build(first, second, third)
-                if row:
-                    streamed += 1
-                    take(row)
+    live, take, streamed = term.get, system.take, 0
+    for (u, v, t), own in term.items():
+        for a, b in factors[u]:  # B(ab, c) of (a, b, v) at t, a a cover and b strict (rule 3)
+            take(own, live((a, v, below[b].get(t))), live((b, v, above[a].get(t))))
+        streamed += len(factors[u])
+        for t2, b in left[t]:  # B(a, c) e_b of (u, b, v) at t2
+            if not live((product.get((u, b)), v, t2)):
+                streamed += 1
+                take(None, own, live((b, v, above[u].get(t2))))
     system.rows_streamed = streamed + system.num_unknowns - len(system.live)
     return system
-
-
-def _row(first, second, third) -> list[tuple[int, int]]:
-    """The row B(ab, c) - B(a, c) e_b - e_a B(b, c) = 0 on its live terms,
-    each a (column, sign) pair or None, as (column, coefficient) entries.
-    No two terms of a row the build keeps fall on one column (module
-    docstring, Row shape); LinearSystem.take rejects a row where they do."""
-    terms = [first] if first else []
-    for term in (second, third):
-        if term:
-            terms.append((term[0], -term[1]))
-    return terms
 
 
 def _vector_to_bracket(system: LinearSystem, vector: dict[int, object]) -> Bracket:

@@ -91,6 +91,21 @@ class TestConstruction:
         with pytest.raises(PosetMismatch):
             f * g
 
+    def test_foreign_operands(self):
+        f = IncidenceElement.delta(CHAIN3, RATIONALS)
+        for op in (lambda: f + 1, lambda: f - 1, lambda: f * "x"):
+            with pytest.raises(TypeError):
+                op()
+        with pytest.raises(TypeError, match="expected IncidenceElement, got int"):
+            f.commutator(1)
+        assert f != 1
+
+    def test_ring_mismatch_between_elements(self):
+        f = IncidenceElement.delta(CHAIN3, RATIONALS)
+        g = IncidenceElement.delta(CHAIN3, integers_mod(5))
+        with pytest.raises(RingMismatch, match="elements live over Q and Z/5"):
+            f * g
+
     def test_zero_and_bool(self):
         z = IncidenceElement.zero(CHAIN3, RATIONALS)
         assert z.is_zero() and not z
@@ -418,6 +433,8 @@ class TestSerialization:
         g = IncidenceElement.from_json(CHAIN3, data, ring=integers_mod(5))
         assert g == el(CHAIN3, {("1", "2"): 2}, ring=integers_mod(5))
         assert IncidenceElement.from_json(CHAIN3, data) == f
+        del data["ring"]  # needed only when no ring is given
+        assert IncidenceElement.from_json(CHAIN3, data, ring=integers_mod(5)) == g
 
     def test_json_rejects_non_intervals(self):
         with pytest.raises(NotComparable):
@@ -443,6 +460,19 @@ class TestSerialization:
     def test_json_rejects_non_object(self):
         with pytest.raises(ValueError):
             IncidenceElement.from_json(CHAIN3, [], ring=RATIONALS)
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"entries": []}, "^element JSON .* has no 'ring'$"),
+            ({"ring": "Q"}, "^element JSON .* has no 'entries'$"),
+            ({"ring": "Q", "entries": 3}, "^entries 3 must be a list$"),
+        ],
+        ids=["no-ring", "no-entries", "entries-not-a-list"],
+    )
+    def test_json_names_the_malformed_field(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            IncidenceElement.from_json(CHAIN3, data)
 
     def test_repr(self):
         assert repr(el(CHAIN3, {("1", "2"): 2})) == "2*e[1,2]"

@@ -158,6 +158,7 @@ class TestSigmaMap:
         assert crown_sigma(1, 2, 3, 4) == crown_sigma(1, 2, 3, 4)
         assert crown_sigma(1, 2, 3, 4) != crown_sigma(1, 2, 3, 5)
         assert len({crown_sigma(0, 0, 0, 0), SigmaMap(CROWN, Q, {})}) == 1
+        assert crown_sigma(1, 2, 3, 4) != 1
 
     @settings(deadline=None, max_examples=150)
     @given(data=st.data())
@@ -364,6 +365,14 @@ class TestBracketTable:
         assert bracket.evaluate(f.scale(two), g) == bracket.evaluate(f, g).scale(two)
         assert bracket.evaluate(f, g) == -bracket.evaluate(g, f)
 
+    def test_evaluate_rejects_foreign_arguments(self):
+        bracket = from_sigma(crown_sigma(1, 2, 3, 4))
+        f = el(CROWN, {("1", "3"): 1})
+        with pytest.raises(PosetMismatch, match="another poset"):
+            bracket.evaluate(f, el(CHAIN3, {("1", "2"): 1}))
+        with pytest.raises(RingMismatch, match="argument lives in Z, not Q"):
+            bracket.evaluate(el(CROWN, {("1", "3"): 1}, ring=INTEGERS), f)
+
     def test_raw_mode_reads_table_literally(self):
         e11, e13 = Interval("1", "1"), Interval("1", "3")
         raw = Bracket.from_basis_table(
@@ -385,6 +394,7 @@ class TestBracketTable:
         antisym = Bracket.from_basis_table(CROWN, Q, one_sided)
         assert raw == antisym
         assert antisym == raw
+        assert antisym != one_sided
 
     @pytest.mark.parametrize("ring", [Q, integers_mod(5)], ids=["Q", "Z5"])
     def test_raw_reload_hashes_like_its_source(self, ring):
@@ -445,6 +455,7 @@ class TestChecks:
         assert bider.ok
         assert bider.pass_counts["leibniz_1"] == 512  # 8^3 triples
         assert bider.pass_counts["leibniz_2"] == 512
+        assert repr(bider) == "CheckReport(biderivation: ok, 1025 passes)"
         jac = check_jacobi(bracket)
         assert jac.ok and jac.total_passes() == 512
 
@@ -457,11 +468,29 @@ class TestChecks:
         )
         report = check_biderivation(bad)
         assert not report.ok
+        assert repr(report) == "CheckReport(biderivation: 10 failures, 45 passes)"
         failed_checks = {check for check, _ in report.failures}
         assert "leibniz_1" in failed_checks and "leibniz_2" in failed_checks
         # under antisymmetry the two identities fail on matching triples
         assert "leibniz_equivalence" not in failed_checks
         assert report.pass_counts.get("leibniz_equivalence") == 1
+
+    def test_leibniz_equivalence_failure_reported(self, monkeypatch):
+        # an antisymmetric table fails the two identities on matching
+        # triples, so only a faulty kernel disagrees: here one that fails a
+        # triple of the first identity alone
+        bracket, calls = from_sigma(crown_sigma(1, 2, 3, 4)), []
+
+        def one_sided(lines, family, reduce):
+            calls.append(lines)
+            return [(0, 1, 2)] if len(calls) == 1 else []
+
+        monkeypatch.setattr(poisset.bracket, "_leibniz_failures", one_sided)
+        report = check_biderivation(bracket)
+        assert len(calls) == 2
+        assert [check for check, _ in report.failures] == ["leibniz_1", "leibniz_equivalence"]
+        assert report.failures[1][1] == {"note": "Eq (1) and Eq (2) disagree"}
+        assert "leibniz_equivalence" not in report.pass_counts
 
     def test_jacobi_violation_detected(self):
         bad = Bracket.from_basis_table(

@@ -14,9 +14,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corpus_params, fence3
+import poisset.cli
+from conftest import antichain, corpus_params, fence3
 from poisset import SigmaMap, RATIONALS, from_sigma, make_chain, make_crown
 from poisset.cli import build_parser, main
+from poisset.errors import BijectionViolation, PosetMismatch
 
 CROWN = make_crown()
 
@@ -127,6 +129,20 @@ class TestClassify:
 
     def test_composite_modulus_is_not_a_field(self, crown_file):
         assert main(["classify", "--poset", crown_file, "--ring", "Z/4"]) == 2
+
+    def test_bijection_violation_exits_1(self, crown_file, monkeypatch, capsys):
+        def refuse(poset, ring):
+            raise BijectionViolation("dimension 3 != 4 chain components")
+
+        monkeypatch.setattr(poisset.cli, "classify", refuse)
+        assert main(["classify", "--poset", crown_file, "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "BijectionViolation",
+            "detail": "dimension 3 != 4 chain components",
+        }
+        assert main(["classify", "--poset", crown_file]) == 1
+        out = capsys.readouterr().out
+        assert out == "bijection violated: dimension 3 != 4 chain components\n"
 
 
 class TestVerify:
@@ -243,6 +259,12 @@ class TestSigmaCommands:
             ["extract-sigma", "--poset", crown_file, "--bracket", path]
         ) == 1
         assert "not an antisymmetric biderivation" in capsys.readouterr().out
+
+    def test_extract_sigma_without_strict_pairs(self, tmp_path, capsys):
+        poset_file = write(tmp_path, "antichain2.json", antichain(2).to_json())
+        bracket_file = write(tmp_path, "empty.json", {"pairs": []})
+        assert main(["extract-sigma", "--poset", poset_file, "--bracket", bracket_file]) == 0
+        assert capsys.readouterr().out == "(no strict pairs)\n"
 
 
 class TestIsStandard:
@@ -419,6 +441,25 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--samples: must be >= 0" in err
         assert main([*argv, "--samples", "0"]) == 0
+
+    def test_non_integer_samples_exit_2(self, crown_file, ex12_file, capsys):
+        argv = ["lemma-suite", "--poset", crown_file, "--bracket", ex12_file]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--samples", "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--samples: invalid int value: 'x'" in err
+
+    def test_check_error_in_a_command_exits_1(self, crown_file, monkeypatch, capsys):
+        # main's last handler: a PoissetError that is no input error
+        def fail(args, poset):
+            raise PosetMismatch("elements live over different posets")
+
+        monkeypatch.setattr(poisset.cli, "_cmd_export_dot", fail)
+        assert main(["export-dot", "--poset", crown_file]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "poisset: PosetMismatch: elements live over different posets\n"
 
     @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-dir", "a-dir"])
     def test_unwritable_output_exits_2(self, crown_file, tmp_path, capsys, target):

@@ -60,7 +60,7 @@ class TestRingSpec:
             RingSpec("Q", 5)
 
     def test_field_flags(self):
-        assert RATIONALS.is_field
+        assert RATIONALS.is_field and RATIONALS != "Q"
         assert not INTEGERS.is_field
         for m, expected in [(2, True), (3, True), (4, False), (5, True),
                             (6, False), (9, False), (91, False), (97, True)]:

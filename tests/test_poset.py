@@ -43,6 +43,10 @@ class TestConstruction:
         with pytest.raises(UnknownLabel):
             Poset(["a"], [("b", "a")])
 
+    def test_empty_chain(self):
+        with pytest.raises(ValueError, match="chain length must be >= 1"):
+            make_chain(0)
+
     def test_self_cover_is_a_cycle(self):
         with pytest.raises(CycleDetected):
             Poset(["a"], [("a", "a")])
@@ -278,6 +282,25 @@ class TestSerialization:
         assert make_chain(3) != make_chain(4)
         # same covers, different element order: distinct presentations
         assert Poset(["b", "a"], [("a", "b")]) != Poset(["a", "b"], [("a", "b")])
+        assert make_chain(3) != "poset"
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"covers": []}, "needs an 'elements' list"),
+            ({"elements": ["a"], "covers": "ab"}, "'covers' must be a list of pairs"),
+        ],
+        ids=["no-elements", "covers-not-a-list"],
+    )
+    def test_json_rejects_malformed_documents(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            Poset.from_json(data)
+
+    def test_repr(self):
+        assert repr(make_chain(2)) == "Poset(['1', '2'], [('1', '2')])"
+        assert repr(make_chain(2).chain_components()) == (
+            "PairPartition([[StrictPair(lo='1', hi='2')]])"
+        )
 
 
 class TestProperties:

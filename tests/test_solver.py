@@ -50,7 +50,7 @@ from poisset import (
 )
 from poisset import solver
 from poisset.errors import BijectionViolation, NotABiderivation, NotAField
-from poisset.solver import SolutionBasis, _row
+from poisset.solver import SolutionBasis
 import reference_solver
 from reference_bracket import ranked, raw_table
 from reference_solver import (
@@ -431,10 +431,10 @@ class TestSignedUnionFind:
     def test_odd_signed_cycle(self, ring, dead):
         # x0 = x1, x1 = x2, x2 = -x0: x0 = -x0, zero unless -1 = 1
         system = self.system(ring)
-        system.take([(0, 1), (1, -1)])
-        system.take([(1, 1), (2, -1)])
+        system.take((0, 1), (1, 1), None)
+        system.take((1, 1), None, (2, 1))
         assert system.rank == 2 and not system.dead
-        system.take([(2, 1), (0, 1)])
+        system.take((2, 1), (0, -1), None)
         assert bool(system.dead) == dead
         assert system.rank == (3 if dead else 2)
         assert reference_solver.satisfied_by(system, {0: 1, 1: 1, 2: 1}) == (not dead)
@@ -446,7 +446,7 @@ class TestSignedUnionFind:
         system = self.system(Q)
         system.join(0, 1, -1)
         assert reference_solver.satisfied_by(system, {0: Fraction(2), 1: Fraction(-2)})
-        system.take([(1, -1)])
+        system.take(None, (1, 1), None)
         assert system.rank == 2 and system.dead == {system.find(0)[0]}
         assert not reference_solver.satisfied_by(system, {0: Fraction(2), 1: Fraction(-2)})
         assert not reference_solver.satisfied_by(system, {0: Fraction(2)})
@@ -470,34 +470,51 @@ class TestSignedUnionFind:
         assert nullspace(system).free_columns == [4, 5, 6, 7, 8]
         assert_settled(system)
 
-    def test_row_builder_negates_the_second_and_third_terms(self):
-        # first - second - third, terms as (column, sign)
-        assert _row((5, 1), (7, -1), None) == [(5, 1), (7, 1)]
-        assert _row(None, (5, 1), (7, 1)) == [(5, -1), (7, -1)]
-        assert _row(None, (5, 1), None) == [(5, -1)]
-        assert _row((5, 1), None, None) == [(5, 1)]
-        assert _row(None, None, None) == []
+    def test_take_negates_the_second_and_third_terms(self):
+        # the row first - second - third = 0, terms as (column, sign): the
+        # join it makes, x_1 = s x_2, or the class it kills
+        joins = [
+            (((1, 1), (2, -1), None), -1),
+            (((1, 1), (2, 1), None), 1),
+            (((1, -1), None, (2, 1)), -1),
+            (((1, 1), None, (2, 1)), 1),
+            ((None, (1, 1), (2, 1)), -1),
+            ((None, (1, -1), (2, 1)), 1),
+        ]
+        for terms, sign in joins:
+            system = self.system(Q)
+            system.take(*terms)
+            (r1, s1), (r2, s2) = system.find(1), system.find(2)
+            assert r1 == r2 and s1 * s2 == sign, terms
+            assert system.rank == 1 and not system.dead
+        for terms in [((1, 1), None, None), (None, (1, -1), None), (None, None, (1, 1))]:
+            system = self.system(Q)
+            system.join(1, 2, -1)
+            system.take(*terms)
+            assert system.rank == 2 and system.dead == {system.find(2)[0]}, terms
 
     @pytest.mark.parametrize(
-        "row",
+        "terms",
         [
-            [(10, 1), (20, 1), (30, -1)],
-            [(10, 2), (20, 1)],
-            [(10, 1), (20, -2)],
-            [(10, -2)],
-            [(10, -1), (10, 1)],
+            ((0, 1), (1, 1), (2, -1)),
+            ((0, 2), (1, 1), None),
+            ((0, 1), (1, -2), None),
+            (None, None, (0, -2)),
+            ((0, -1), (0, -1), None),
+            (None, None, None),
         ],
-        ids=["three-entries", "two-first", "minus-two-second", "minus-two-alone", "one-column"],
+        ids=["three-entries", "two-first", "minus-two-second", "minus-two-alone", "one-column", "no-terms"],
     )
     @pytest.mark.parametrize(
         "ring", [Q, integers_mod(2), integers_mod(3)], ids=["Q", "Z2", "Z3"]
     )
-    def test_other_row_shapes_raise(self, monkeypatch, ring, row):
-        # forced through a patched row builder: build_system has no fallback,
-        # and over Z/2 and Z/3 a coefficient 2 is caught before any reduction
-        monkeypatch.setattr(solver, "_row", lambda first, second, third: row)
+    def test_other_row_shapes_raise(self, ring, terms):
+        # build_system has no fallback, and over Z/2 and Z/3 a sign 2 is
+        # caught before any reduction; the system is left as it was
+        system = self.system(ring)
         with pytest.raises(ValueError, match="is not x_p = "):
-            build_system(make_chain(2), ring)
+            system.take(*terms)
+        assert system.rank == 0 and not system.up and not system.dead
 
 
 class TestDimensions:
